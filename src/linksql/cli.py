@@ -14,12 +14,9 @@ from pathlib import Path
 from . import evalx
 from .catalog import CatalogError, attach_samples, load_catalogs
 from .ingest import load_split
-from .linker import aggregate_linking, score_linking
 from .orchestrate import EndpointConfig, run_pipeline, run_summary, read_traces
 from .promptgen import PromptTemplateSet, emit_sft_dataset
-from .sqlast import LinkTarget, extract_link_targets, parse_sql
-from .sqlast.lexer import SqlParseError
-from .sqlast.parser import ResolutionError
+from .sqlast import LinkTarget
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,57 +166,23 @@ def _cmd_eval(args) -> int:
             f"{args.traces}: no trace for {len(missing)} examples"
             f" (first: {missing[0]})"
         )
-    mode = traces[0].get("mode", "dts")
-
-    verdicts = []
-    linking_scores = []
-    quarantined = []
-    invalid_gold = []
-    skipped = []
-    for ex in split.examples:
-        trace = by_id[ex.example_id]
-        catalog = catalogs[ex.db_id]
-        try:
-            gold_ast = parse_sql(ex.gold_sql, catalog)
-        except (SqlParseError, ResolutionError):
-            quarantined.append(ex.example_id)
-            continue
-        if ex.db_file is None:
-            skipped.append(ex.example_id)
-            continue
-        try:
-            verdict = evalx.evaluate_pair(
-                ex.example_id,
-                trace.get("extracted_sql", ""),
-                ex.gold_sql,
-                catalog,
-                ex.db_file,
-                ignore_values=args.ignore_values,
-                timeout_ms=args.timeout_ms,
-            )
-        except evalx.GoldExecutionError:
-            invalid_gold.append(ex.example_id)
-            continue
-        verdicts.append(verdict)
-        if "link" in metrics:
-            gold_target = extract_link_targets(gold_ast)
-            linking_scores.append(score_linking(_trace_link_target(trace), gold_target))
-
-    if not verdicts:
-        raise ValueError("no evaluable examples (all quarantined, skipped, or invalid)")
-    linking = aggregate_linking(linking_scores) if linking_scores else None
-    report = evalx.aggregate(
-        verdicts,
-        mode,
-        linking=linking,
+    report = evalx.evaluate_split(
+        traces[0].get("mode", "dts"),
+        split,
+        catalogs,
+        {ex_id: t.get("extracted_sql", "") for ex_id, t in by_id.items()},
+        predicted_links=(
+            {ex.example_id: _trace_link_target(by_id[ex.example_id]) for ex in split.examples}
+            if "link" in metrics
+            else None
+        ),
+        ignore_values=args.ignore_values,
+        timeout_ms=args.timeout_ms,
         model_name=args.model_label,
-        quarantined=tuple(quarantined),
-        invalid_gold=tuple(invalid_gold),
-        skipped_no_database=tuple(skipped),
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    evalx.write_verdicts(out_dir / "verdicts.jsonl", verdicts)
+    evalx.write_verdicts(out_dir / "verdicts.jsonl", report.verdicts)
     (out_dir / "report.json").write_text(
         json.dumps(evalx.report_dict(report), indent=2) + "\n", encoding="utf-8"
     )

@@ -17,15 +17,18 @@ import math
 import sqlite3
 import time
 from collections import Counter
+from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import DatabaseCatalog
-from .linker import LinkingSummary
+from .ingest import Split
+from .linker import LinkingSummary, aggregate_linking, score_linking
+from .sqlast import LinkTarget, QueryAst, extract_link_targets, parse_sql
 from .sqlast import exact_set_match as _ast_exact_set_match
-from .sqlast import parse_sql
-from .sqlast.lexer import SqlParseError, tokenize
-from .sqlast.parser import ResolutionError
+from .sqlast.lexer import SqlParseError
+from .sqlast.parser import ResolutionError, has_toplevel_order
 
 log = logging.getLogger(__name__)
 
@@ -38,8 +41,6 @@ FAILURE_KINDS = (
 )
 
 DEFAULT_TIMEOUT_MS = 30000
-
-MODES = ("full", "dts", "oracle_link")
 
 
 class GoldExecutionError(Exception):
@@ -87,9 +88,15 @@ def em_with_detail(
     gold: str,
     catalog: DatabaseCatalog,
     ignore_values: bool = False,
+    *,
+    gold_ast: QueryAst | None = None,
 ) -> tuple[bool, str | None]:
-    """(matched, failure kind) — unparseable prediction is a distinct kind."""
-    gold_ast = parse_sql(gold, catalog)
+    """(matched, failure kind) — unparseable prediction is a distinct kind.
+
+    ``gold_ast`` is ``gold`` already parsed against ``catalog``; without
+    it the gold query is parsed here."""
+    if gold_ast is None:
+        gold_ast = parse_sql(gold, catalog)
     try:
         pred_ast = parse_sql(pred, catalog)
     except (SqlParseError, ResolutionError):
@@ -122,51 +129,92 @@ def _cell_key(value):
     return ("text", str(value))
 
 
-def _run_query(db_file: Path, sql: str, deadline: float) -> list[tuple]:
-    """Execute read-only; rows come back as tuples of canonical cell keys."""
-    timed_out = False
+# Authorizer actions a query needs to read. Any other action (a pragma,
+# ATTACH, a transaction, a temp object, a write) can leave state on the
+# connection that a later query would see.
+_READ_ACTIONS = frozenset(
+    {sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE}
+)
 
-    def check() -> int:
-        nonlocal timed_out
-        if time.monotonic() > deadline:
-            timed_out = True
-            return 1
-        return 0
 
-    conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
-    try:
+class ConnectionSet:
+    """Read-only connections, one per database file, reused across queries.
+
+    A connection is closed after any query that did more than read, and
+    reopened on next use, so every query sees what a fresh connection would
+    show. Each query gets its own deadline. Not thread-safe; close()
+    releases everything.
+    """
+
+    def __init__(self) -> None:
+        self._open: dict[Path, sqlite3.Connection] = {}
+        self._dirty = False
+
+    def _authorize(self, action, *_) -> int:
+        if action not in _READ_ACTIONS:
+            self._dirty = True
+        return sqlite3.SQLITE_OK
+
+    def _connection(self, db_file: Path) -> sqlite3.Connection:
+        conn = self._open.get(db_file)
+        if conn is None:
+            conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
+            conn.set_authorizer(self._authorize)
+            self._open[db_file] = conn
+        return conn
+
+    def run(self, db_file: Path, sql: str, deadline: float) -> list[tuple]:
+        """Execute one query; rows come back as tuples of canonical cell keys."""
+        timed_out = False
+
+        def check() -> int:
+            nonlocal timed_out
+            if time.monotonic() > deadline:
+                timed_out = True
+                return 1
+            return 0
+
+        conn = self._connection(db_file)
         conn.set_progress_handler(check, 1000)
+        self._dirty = False
         try:
-            cursor = conn.execute(sql)
-            rows = cursor.fetchall()
-        except sqlite3.Error:
+            try:
+                cursor = conn.execute(sql)
+                rows = cursor.fetchall()
+            except sqlite3.Error:
+                if timed_out:
+                    raise _Timeout()
+                raise
             if timed_out:
                 raise _Timeout()
-            raise
-        if timed_out:
-            raise _Timeout()
-        if cursor.description is None:
-            # empty or non-query statement; sqlite accepts it silently
-            raise sqlite3.OperationalError("statement produced no result set")
-        return [tuple(_cell_key(c) for c in row) for row in rows]
-    finally:
-        conn.close()
+            if cursor.description is None:
+                # empty or non-query statement; sqlite accepts it silently
+                raise sqlite3.OperationalError("statement produced no result set")
+            return [tuple(_cell_key(c) for c in row) for row in rows]
+        finally:
+            if self._dirty:
+                self._open.pop(db_file).close()
+
+    def close(self) -> None:
+        for conn in self._open.values():
+            conn.close()
+        self._open.clear()
+
+    def __enter__(self) -> "ConnectionSet":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-def _has_toplevel_order(sql: str) -> bool:
+def _gold_is_ordered(gold: str, gold_ast: QueryAst | None) -> bool:
+    if gold_ast is not None:
+        return gold_ast.has_toplevel_order()
     try:
-        tokens = tokenize(sql)
+        return has_toplevel_order(gold)
     except SqlParseError:
-        return "order by" in " ".join(sql.lower().split())
-    depth = 0
-    for tok in tokens:
-        if tok.kind == "OP" and tok.value == "(":
-            depth += 1
-        elif tok.kind == "OP" and tok.value == ")":
-            depth -= 1
-        elif depth == 0 and tok.is_kw("order"):
-            return True
-    return False
+        # gold outside the parse dialect: judge by its text
+        return "order by" in " ".join(gold.lower().split())
 
 
 def _column_views(rows: list[tuple]) -> list[tuple]:
@@ -241,26 +289,33 @@ def ex_with_detail(
     gold: str,
     db_file: str | Path,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    *,
+    gold_ast: QueryAst | None = None,
+    connections: ConnectionSet | None = None,
 ) -> tuple[bool, str | None]:
     """(matched, failure kind). Gold failures raise GoldExecutionError;
-    an unreadable database file is an infrastructure error (OSError)."""
+    an unreadable database file is an infrastructure error (OSError).
+
+    ``gold_ast`` supplies the gold query's ordering; without it the gold
+    text is parsed for it. Queries run on ``connections`` when given,
+    otherwise on a connection opened for this call."""
     db_file = Path(db_file)
     if not db_file.is_file():
         raise OSError(f"database file not readable: {db_file}")
-    try:
-        gold_rows = _run_query(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
-    except _Timeout as err:
-        raise GoldExecutionError(f"gold query timed out: {gold!r}") from err
-    except sqlite3.Error as err:
-        raise GoldExecutionError(f"gold query failed: {err}") from err
-    try:
-        pred_rows = _run_query(db_file, pred, time.monotonic() + timeout_ms / 1000.0)
-    except _Timeout:
-        return False, "timeout"
-    except sqlite3.Error:
-        return False, "pred_exec_error"
-    ordered = _has_toplevel_order(gold)
-    if _tables_equal(pred_rows, gold_rows, ordered):
+    with nullcontext(connections) if connections is not None else ConnectionSet() as conns:
+        try:
+            gold_rows = conns.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
+        except _Timeout as err:
+            raise GoldExecutionError(f"gold query timed out: {gold!r}") from err
+        except sqlite3.Error as err:
+            raise GoldExecutionError(f"gold query failed: {err}") from err
+        try:
+            pred_rows = conns.run(db_file, pred, time.monotonic() + timeout_ms / 1000.0)
+        except _Timeout:
+            return False, "timeout"
+        except sqlite3.Error:
+            return False, "pred_exec_error"
+    if _tables_equal(pred_rows, gold_rows, _gold_is_ordered(gold, gold_ast)):
         return True, None
     return False, "result_mismatch"
 
@@ -276,14 +331,22 @@ def evaluate_pair(
     db_file: str | Path,
     ignore_values: bool = False,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    *,
+    gold_ast: QueryAst | None = None,
+    connections: ConnectionSet | None = None,
 ) -> SqlVerdict:
     """Both metrics for one example. Execution-side failures win the
     failure_kind slot; a prediction our dialect cannot parse but that
-    still executes correctly records no failure on the execution side."""
+    still executes correctly records no failure on the execution side.
+
+    ``gold_ast`` and ``connections`` pass through to em_with_detail and
+    ex_with_detail."""
     t0 = time.monotonic()
-    em, em_kind = em_with_detail(pred, gold, catalog, ignore_values)
+    em, em_kind = em_with_detail(pred, gold, catalog, ignore_values, gold_ast=gold_ast)
     t1 = time.monotonic()
-    ex, ex_kind = ex_with_detail(pred, gold, db_file, timeout_ms)
+    ex, ex_kind = ex_with_detail(
+        pred, gold, db_file, timeout_ms, gold_ast=gold_ast, connections=connections
+    )
     t2 = time.monotonic()
     if not ex:
         kind = ex_kind
@@ -301,6 +364,77 @@ def evaluate_pair(
         execution_match=ex,
         failure_kind=kind,
         timings=timings,
+    )
+
+
+def evaluate_split(
+    mode: str,
+    split: Split,
+    catalogs: Mapping[str, DatabaseCatalog],
+    predictions: Mapping[str, str],
+    *,
+    predicted_links: Mapping[str, LinkTarget] | None = None,
+    ignore_values: bool = False,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    model_name: str | None = None,
+) -> EvalReport:
+    """Score the predicted SQL of every example in ``split``.
+
+    ``predictions`` and ``predicted_links`` are keyed by example id; link
+    scores are computed only when ``predicted_links`` is given. Each gold
+    query is parsed once, for the exact match, the result ordering and the
+    link target, and queries run on one read-only connection per database
+    file. Gold outside the dialect is quarantined, gold that fails to
+    execute is invalid, and examples without a database file are skipped;
+    none of them count. Raises ValueError when no example is left.
+    """
+    verdicts = []
+    linking_scores = []
+    quarantined = []
+    invalid_gold = []
+    skipped = []
+    with ConnectionSet() as connections:
+        for ex in split.examples:
+            catalog = catalogs[ex.db_id]
+            try:
+                gold_ast = parse_sql(ex.gold_sql, catalog)
+            except (SqlParseError, ResolutionError):
+                quarantined.append(ex.example_id)
+                continue
+            if ex.db_file is None:
+                skipped.append(ex.example_id)
+                continue
+            try:
+                verdict = evaluate_pair(
+                    ex.example_id,
+                    predictions[ex.example_id],
+                    ex.gold_sql,
+                    catalog,
+                    ex.db_file,
+                    ignore_values=ignore_values,
+                    timeout_ms=timeout_ms,
+                    gold_ast=gold_ast,
+                    connections=connections,
+                )
+            except GoldExecutionError:
+                invalid_gold.append(ex.example_id)
+                continue
+            verdicts.append(verdict)
+            if predicted_links is not None:
+                linking_scores.append(
+                    score_linking(predicted_links[ex.example_id], extract_link_targets(gold_ast))
+                )
+
+    if not verdicts:
+        raise ValueError("no evaluable examples (all quarantined, skipped, or invalid)")
+    return aggregate(
+        verdicts,
+        mode,
+        linking=aggregate_linking(linking_scores) if linking_scores else None,
+        model_name=model_name,
+        quarantined=tuple(quarantined),
+        invalid_gold=tuple(invalid_gold),
+        skipped_no_database=tuple(skipped),
     )
 
 

@@ -24,7 +24,7 @@ from .ingest import Split
 from .linker import parse_linker_output
 from .promptgen import PromptTemplateSet, prompt_parts, serialize_link_target
 from .sqlast import LinkTarget, extract_link_targets, parse_sql
-from .sqlast.lexer import SqlParseError
+from .sqlast.lexer import SqlParseError, tokenize
 from .sqlast.parser import ResolutionError
 
 log = logging.getLogger(__name__)
@@ -138,15 +138,20 @@ _FENCE = re.compile(r"```(?:[A-Za-z0-9_-]+)?\s*\n?(.*?)```", re.DOTALL)
 
 
 def extract_sql(completion: str) -> str:
-    """First statement of a completion: fences stripped, cut at ';'."""
+    """First statement of a completion: fences stripped, cut at the first
+    ';' token, so a ';' inside a string literal does not end it."""
     text = completion.strip()
     fenced = _FENCE.search(text)
     if fenced:
         text = fenced.group(1).strip()
     if text.lower().startswith("sql:"):
         text = text[4:].strip()
-    head, _, _ = text.partition(";")
-    return head.strip()
+    try:
+        ends = [tok.pos for tok in tokenize(text) if tok.kind == "OP" and tok.value == ";"]
+    except SqlParseError:
+        head, _, _ = text.partition(";")
+        return head.strip()
+    return text[: ends[0]].strip() if ends else text
 
 
 def _link_serial(target: LinkTarget, catalog: DatabaseCatalog) -> tuple[tuple[str, ...], tuple[str, ...]]:

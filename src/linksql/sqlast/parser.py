@@ -647,8 +647,18 @@ def parse_sql(
     errors and ResolutionError when an identifier does not exist in the
     catalog.
     """
-    tokens = tokenize(query)
-    parser = _Parser(tokens)
+    return _Resolver(catalog, warnings).resolve_query(_parse_raw(query), None)
+
+
+def has_toplevel_order(query: str) -> bool:
+    """QueryAst.has_toplevel_order for a query text, decided by the raw
+    phase alone, so no catalog is needed. Raises SqlParseError."""
+    raw = _parse_raw(query)
+    return bool(raw.order) or (raw.set_op is not None and bool(raw.set_op[1].order))
+
+
+def _parse_raw(query: str) -> _RawQuery:
+    parser = _Parser(tokenize(query))
     raw = parser.parse_query()
     tok = parser.peek()
     if tok.kind == "OP" and tok.value == ";":
@@ -656,4 +666,4 @@ def parse_sql(
         tok = parser.peek()
     if tok.kind != "END":
         raise SqlParseError(f"unexpected trailing input {tok.value!r}", tok.pos)
-    return _Resolver(catalog, warnings).resolve_query(raw, None)
+    return raw

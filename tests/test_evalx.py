@@ -1,6 +1,7 @@
 import json
 import sqlite3
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from linksql.evalx import (
     aggregate,
     em_with_detail,
     evaluate_pair,
+    evaluate_split,
     ex_with_detail,
     exact_set_match,
     execution_accuracy,
@@ -21,7 +23,10 @@ from linksql.evalx import (
     verdict_dict,
     write_verdicts,
 )
-from linksql.ingest import db_file_for
+from linksql.ingest import Example, Split, db_file_for
+from linksql.sqlast import parse_sql, tokenize
+from linksql.sqlast.lexer import SqlParseError
+from linksql.sqlast.parser import has_toplevel_order
 
 
 @pytest.fixture
@@ -317,3 +322,165 @@ def test_report_roundtrip_and_text(cat, venue_db):
 
 def test_default_timeout_is_30s():
     assert DEFAULT_TIMEOUT_MS == 30000
+
+
+# -- scoring a split -------------------------------------------------------
+
+def _split(db_root, rows) -> Split:
+    """Examples t:0, t:1, ... from rows of (db_id, gold SQL)."""
+    examples = tuple(
+        Example(f"t:{i}", f"question {i}", gold, db_id, db_file_for(db_root, db_id))
+        for i, (db_id, gold) in enumerate(rows)
+    )
+    return Split("t", examples, Path(db_root))
+
+
+def _outcome(v):
+    return (v.example_id, v.exact_match, v.execution_match, v.failure_kind)
+
+
+def _fresh(split, catalogs, predictions):
+    """Per-example verdicts, each scored on connections of its own."""
+    return [
+        _outcome(
+            evaluate_pair(
+                ex.example_id,
+                predictions[ex.example_id],
+                ex.gold_sql,
+                catalogs[ex.db_id],
+                ex.db_file,
+            )
+        )
+        for ex in split.examples
+    ]
+
+
+def _token_scan_order(sql: str) -> bool:
+    """Reference: an ORDER BY keyword outside every parenthesis."""
+    depth = 0
+    for tok in tokenize(sql):
+        if tok.kind == "OP" and tok.value == "(":
+            depth += 1
+        elif tok.kind == "OP" and tok.value == ")":
+            depth -= 1
+        elif depth == 0 and tok.is_kw("order"):
+            return True
+    return False
+
+
+def test_has_toplevel_order_matches_token_scan(corpus, catalogs):
+    checked = 0
+    for q in corpus:
+        for sql in filter(None, (q.sql, q.twin_sql, q.variant_sql)):
+            want = _token_scan_order(sql)
+            assert parse_sql(sql, catalogs[q.db_id]).has_toplevel_order() == want, sql
+            assert has_toplevel_order(sql) == want, sql
+            checked += 1
+    assert checked > 2 * len(corpus)
+
+
+def test_ex_ordered_gold_outside_dialect(scratch_db):
+    with pytest.raises(SqlParseError):
+        has_toplevel_order("SELECT a FROM t WHERE a IS NOT NULL ORDER BY a")
+    # the gold's text still decides that row order matters
+    assert not execution_accuracy(
+        "SELECT a FROM t WHERE a IS NOT NULL ORDER BY a DESC",
+        "SELECT a FROM t WHERE a IS NOT NULL ORDER BY a",
+        scratch_db,
+    )
+
+
+def test_evaluate_split_matches_evaluate_pair_on_corpus(corpus, catalogs, fixture_paths):
+    picked = corpus[::3]
+    split = _split(fixture_paths["db_root_a"], [(q.db_id, q.sql) for q in picked])
+    kinds = (
+        lambda q: q.sql,
+        lambda q: q.twin_sql or q.sql,
+        lambda q: q.variant_sql or q.sql,
+        lambda q: q.sql[: len(q.sql) // 2],  # broken: parse and execution errors
+    )
+    predictions = {
+        ex.example_id: kinds[i % len(kinds)](q)
+        for i, (ex, q) in enumerate(zip(split.examples, picked))
+    }
+    report = evaluate_split("dts", split, catalogs, predictions)
+    assert report.n == len(picked)
+    kinds_seen = {v.failure_kind for v in report.verdicts}
+    assert kinds_seen >= {None, "pred_exec_error", "result_mismatch", "component_mismatch"}
+    assert [_outcome(v) for v in report.verdicts] == _fresh(split, catalogs, predictions)
+
+
+@pytest.fixture
+def venue_split(fixture_paths):
+    return lambda *golds: _split(fixture_paths["db_root_a"], [("venue_events", g) for g in golds])
+
+
+def _first_venue_name(venue_db) -> str:
+    conn = sqlite3.connect(venue_db)
+    try:
+        return conn.execute("SELECT Name FROM Venue ORDER BY Venue_ID LIMIT 1").fetchone()[0]
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("polluter", ["temp_table", "pragma", "attach", "begin"])
+def test_connection_state_does_not_leak(polluter, catalogs, venue_split, venue_db):
+    name = _first_venue_name(venue_db)
+    # (state-changing prediction, next gold, next prediction): the next
+    # pair scores differently on a connection that kept the state, except
+    # after BEGIN, whose open transaction no read can see
+    cases = {
+        "temp_table": (
+            "CREATE TEMP TABLE Venue AS SELECT 99 AS Name",
+            "SELECT Name FROM Venue",
+            "SELECT 99",
+        ),
+        "pragma": (
+            "PRAGMA case_sensitive_like=1",
+            f"SELECT Name FROM Venue WHERE Name LIKE '{name.lower()}'",
+            f"SELECT Name FROM Venue WHERE Name LIKE '{name}'",
+        ),
+        "attach": (
+            "ATTACH ':memory:' AS x",
+            "SELECT Name FROM Venue WHERE Capacity < 0",
+            "SELECT name FROM x.sqlite_master",
+        ),
+        "begin": ("BEGIN", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
+    }
+    first, next_gold, next_pred = cases[polluter]
+    split = venue_split("SELECT Name FROM Venue", next_gold)
+    predictions = {"t:0": first, "t:1": next_pred}
+    report = evaluate_split("full", split, catalogs, predictions)
+    assert report.verdicts[0].failure_kind == "pred_exec_error"
+    assert [_outcome(v) for v in report.verdicts] == _fresh(split, catalogs, predictions)
+
+
+def test_timeout_on_reused_connection_then_normal_query(catalogs, venue_split):
+    split = venue_split("SELECT Name FROM Venue", "SELECT City FROM Venue")
+    slow = (
+        "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r)"
+        " SELECT count(*) FROM r"
+    )
+    predictions = {"t:0": slow, "t:1": "SELECT City FROM Venue"}
+    start = time.monotonic()
+    report = evaluate_split("full", split, catalogs, predictions, timeout_ms=200)
+    assert time.monotonic() - start < 5
+    assert _outcome(report.verdicts[0]) == ("t:0", False, False, "timeout")
+    assert _outcome(report.verdicts[1]) == ("t:1", True, True, None)
+
+
+def test_evaluate_split_cannot_mutate(catalogs, venue_split, venue_db):
+    def count():
+        conn = sqlite3.connect(venue_db)
+        try:
+            return conn.execute("SELECT count(*) FROM Venue").fetchone()[0]
+        finally:
+            conn.close()
+
+    before = count()
+    split = venue_split("SELECT Name FROM Venue", "SELECT count(*) FROM Venue")
+    predictions = {"t:0": "DELETE FROM Venue", "t:1": "SELECT count(*) FROM Venue"}
+    report = evaluate_split("full", split, catalogs, predictions)
+    assert report.verdicts[0].failure_kind == "pred_exec_error"
+    assert _outcome(report.verdicts[1]) == ("t:1", True, True, None)
+    assert count() == before

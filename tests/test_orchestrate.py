@@ -138,6 +138,14 @@ def test_config_validation():
         ("SELECT 1; SELECT 2;", "SELECT 1"),
         ("SELECT 1;", "SELECT 1"),
         ("", ""),
+        ("SELECT a FROM t WHERE note = 'a;b'", "SELECT a FROM t WHERE note = 'a;b'"),
+        ("SELECT a FROM t WHERE note = 'a;b'; SELECT 2", "SELECT a FROM t WHERE note = 'a;b'"),
+        (
+            "Here:\n```sql\nSELECT a FROM t WHERE note = 'x;y';\n```\nDone.",
+            "SELECT a FROM t WHERE note = 'x;y'",
+        ),
+        # the lexer cannot read it: cut at the first ';' character
+        ("SELECT a FROM t WHERE note = 'a; b", "SELECT a FROM t WHERE note = 'a"),
     ],
 )
 def test_extract_sql(raw, want):
