@@ -13,10 +13,16 @@ from pathlib import Path
 
 from . import evalx
 from .catalog import CatalogError, attach_samples, load_catalogs
-from .ingest import load_split
-from .orchestrate import EndpointConfig, run_pipeline, run_summary, read_traces
-from .promptgen import PromptTemplateSet, emit_sft_dataset
-from .sqlast import LinkTarget
+from .ingest import db_file_for, load_split
+from .orchestrate import (
+    MODES,
+    EndpointConfig,
+    read_traces,
+    run_pipeline,
+    run_summary,
+    trace_link_target,
+)
+from .promptgen import STAGES, PromptTemplateSet, emit_sft_dataset
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,20 +37,9 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--db-root", required=True, help="root directory of SQLite databases")
 
 
-def _add_template_args(p: argparse.ArgumentParser) -> None:
+def _add_prompt_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--generation-template", help="override the generation prompt template")
     p.add_argument("--linking-template", help="override the linking prompt template")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="linksql", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("prepare", help="emit a fine-tuning dataset for one stage")
-    _add_data_args(p)
-    _add_template_args(p)
-    p.add_argument("--stage", required=True, choices=("full", "link", "gen"))
-    p.add_argument("--out", required=True, help="output JSONL path")
     p.add_argument(
         "--with-samples",
         type=int,
@@ -53,10 +48,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows of sample data per table (0 disables; default 3)",
     )
 
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="linksql", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    p = sub.add_parser("prepare", help="emit a fine-tuning dataset for one stage")
+    _add_data_args(p)
+    _add_prompt_args(p)
+    p.add_argument("--stage", required=True, choices=STAGES)
+    p.add_argument("--out", required=True, help="output JSONL path")
+
     p = sub.add_parser("infer", help="run one pipeline mode against an endpoint")
     _add_data_args(p)
-    _add_template_args(p)
-    p.add_argument("--mode", required=True, choices=("full", "dts", "oracle-link"))
+    _add_prompt_args(p)
+    p.add_argument("--mode", required=True, choices=[m.replace("_", "-") for m in MODES])
     p.add_argument("--base-url", required=True, help="endpoint base URL")
     p.add_argument("--model", required=True, help="model name sent to the endpoint")
     p.add_argument("--out", required=True, help="output trace JSONL path")
@@ -66,13 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-parallel", type=int, default=4)
     p.add_argument("--max-retries", type=int, default=2)
     p.add_argument("--backoff-seconds", type=float, default=0.5)
-    p.add_argument(
-        "--with-samples",
-        type=int,
-        default=3,
-        metavar="N",
-        help="rows of sample data per table (0 disables; default 3)",
-    )
 
     p = sub.add_parser("eval", help="score a trace file against gold")
     _add_data_args(p)
@@ -96,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_catalogs_indexed(tables_file: str, db_root: str, sample_rows: int) -> dict:
     catalogs = {}
     for catalog in load_catalogs(tables_file):
-        db_file = Path(db_root) / catalog.db_id / f"{catalog.db_id}.sqlite"
+        db_file = db_file_for(db_root, catalog.db_id)
         if sample_rows > 0 and db_file.is_file():
             catalog = attach_samples(catalog, db_file, max_rows=sample_rows)
         catalogs[catalog.db_id] = catalog
@@ -141,14 +140,6 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _trace_link_target(trace: dict) -> LinkTarget:
-    tables = frozenset(trace.get("resolved_tables", ()))
-    columns = frozenset(
-        tuple(c.split(".", 1)) for c in trace.get("resolved_columns", ()) if "." in c
-    )
-    return LinkTarget(tables, columns)
-
-
 def _cmd_eval(args) -> int:
     metrics = {m.strip() for m in args.metrics.split(",") if m.strip()}
     unknown = metrics - {"ex", "em", "link"}
@@ -172,7 +163,7 @@ def _cmd_eval(args) -> int:
         catalogs,
         {ex_id: t.get("extracted_sql", "") for ex_id, t in by_id.items()},
         predicted_links=(
-            {ex.example_id: _trace_link_target(by_id[ex.example_id]) for ex in split.examples}
+            {ex.example_id: trace_link_target(by_id[ex.example_id]) for ex in split.examples}
             if "link" in metrics
             else None
         ),

@@ -1,9 +1,13 @@
 """Inference orchestration: endpoint client, pipeline modes, trace capture.
 
-Three modes:
-  full        — one generation call with every table in the prompt
-  dts         — a linking call first, then generation over the predicted tables
-  oracle_link — generation over the tables extracted from the gold SQL
+Each mode only decides the link target that stage 2 generates over:
+  full        — no target
+  dts         — a linking call first; the target parsed from its answer
+  oracle_link — the target extracted from the gold SQL
+
+Stage 2 sees only the target's tables. With no target, or one without
+tables, it sees every table; outside ``full`` mode the trace then sets
+``fallback_full_schema``.
 """
 
 from __future__ import annotations
@@ -22,10 +26,8 @@ import requests
 from .catalog import DatabaseCatalog
 from .ingest import Split
 from .linker import parse_linker_output
-from .promptgen import PromptTemplateSet, prompt_parts, serialize_link_target
-from .sqlast import LinkTarget, extract_link_targets, parse_sql
-from .sqlast.lexer import SqlParseError, tokenize
-from .sqlast.parser import ResolutionError
+from .promptgen import PromptTemplateSet, link_fields, prompt_parts
+from .sqlast import LinkTarget, ResolutionError, SqlParseError, extract_link_targets, parse_sql
 
 log = logging.getLogger(__name__)
 
@@ -135,30 +137,21 @@ def complete(
 
 
 _FENCE = re.compile(r"```(?:[A-Za-z0-9_-]+)?\s*\n?(.*?)```", re.DOTALL)
+# Everything before the first ';' outside a quoted run; an unterminated
+# quote is a plain character.
+_FIRST_STATEMENT = re.compile(r"""(?:'[^']*'|"[^"]*"|`[^`]*`|[^;])*""")
 
 
 def extract_sql(completion: str) -> str:
     """First statement of a completion: fences stripped, cut at the first
-    ';' token, so a ';' inside a string literal does not end it."""
+    ';' outside a quoted string or identifier."""
     text = completion.strip()
     fenced = _FENCE.search(text)
     if fenced:
         text = fenced.group(1).strip()
     if text.lower().startswith("sql:"):
         text = text[4:].strip()
-    try:
-        ends = [tok.pos for tok in tokenize(text) if tok.kind == "OP" and tok.value == ";"]
-    except SqlParseError:
-        head, _, _ = text.partition(";")
-        return head.strip()
-    return text[: ends[0]].strip() if ends else text
-
-
-def _link_serial(target: LinkTarget, catalog: DatabaseCatalog) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    lines = serialize_link_target(target, catalog).splitlines()
-    tables = tuple(t.strip() for t in lines[0][len("tables:"):].split(",") if t.strip())
-    columns = tuple(c.strip() for c in lines[1][len("columns:"):].split(",") if c.strip())
-    return tables, columns
+    return _FIRST_STATEMENT.match(text).group(0).strip()
 
 
 def run_pipeline(
@@ -174,15 +167,14 @@ def run_pipeline(
     """Run one mode over a split; traces come back in example order.
 
     Endpoint failures are isolated per example (empty completion, error
-    recorded) and never abort the run. An empty or unusable stage-1
-    prediction in dts mode falls back to the full-schema prompt.
+    recorded) and never abort the run.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if config is None:
         raise ValueError("an EndpointConfig is required")
     if templates is None:
-        templates = PromptTemplateSet.default()
+        templates = PromptTemplateSet.load()
 
     def ask(system: str, body: str) -> tuple[str, str | None]:
         try:
@@ -195,27 +187,14 @@ def run_pipeline(
         wall: dict[str, float] = {}
         errors: list[str] = []
         stage1_prompt = stage1_completion = None
-        fallback = False
+        target: LinkTarget | None = None
 
-        if mode == "full":
-            resolved = LinkTarget(frozenset(catalog.table_names), frozenset())
-            system, body = prompt_parts("full", ex.question, catalog, None, templates)
-        elif mode == "oracle_link":
+        if mode == "oracle_link":
             try:
-                gold_target = extract_link_targets(parse_sql(ex.gold_sql, catalog))
+                target = extract_link_targets(parse_sql(ex.gold_sql, catalog))
             except (SqlParseError, ResolutionError) as err:
                 errors.append(f"gold SQL unusable for linking: {err}")
-                gold_target = None
-            if gold_target is None or not gold_target.tables:
-                resolved = LinkTarget(frozenset(catalog.table_names), frozenset())
-                system, body = prompt_parts("full", ex.question, catalog, None, templates)
-                fallback = True
-            else:
-                resolved = gold_target
-                system, body = prompt_parts(
-                    "gen", ex.question, catalog, gold_target.tables, templates
-                )
-        else:  # dts
+        elif mode == "dts":
             s1_system, s1_body = prompt_parts("link", ex.question, catalog, None, templates)
             stage1_prompt = f"{s1_system}\n\n{s1_body}"
             t0 = timer()
@@ -223,23 +202,22 @@ def run_pipeline(
             wall["stage1_ms"] = round((timer() - t0) * 1000.0, 3)
             if s1_error:
                 errors.append(f"stage1: {s1_error}")
-            resolved = parse_linker_output(stage1_completion, catalog)
-            if resolved.tables:
-                system, body = prompt_parts(
-                    "gen", ex.question, catalog, resolved.tables, templates
-                )
-            else:
-                # nothing usable came back; stage 2 sees every table
-                resolved = LinkTarget(frozenset(catalog.table_names), frozenset())
-                system, body = prompt_parts("full", ex.question, catalog, None, templates)
-                fallback = True
+            target = parse_linker_output(stage1_completion, catalog)
+
+        fallback = False
+        if target is None or not target.tables:
+            target = LinkTarget(frozenset(catalog.table_names), frozenset())
+            system, body = prompt_parts("full", ex.question, catalog, None, templates)
+            fallback = mode != "full"
+        else:
+            system, body = prompt_parts("gen", ex.question, catalog, target.tables, templates)
 
         t0 = timer()
         stage2_completion, s2_error = ask(system, body)
         wall["stage2_ms"] = round((timer() - t0) * 1000.0, 3)
         if s2_error:
             errors.append(f"stage2: {s2_error}")
-        tables, columns = _link_serial(resolved, catalog)
+        tables, columns = link_fields(target, catalog)
         return TwoStageTrace(
             example_id=ex.example_id,
             mode=mode,
@@ -295,6 +273,15 @@ def read_traces(path: str | Path) -> list[dict]:
             if line:
                 out.append(json.loads(line))
     return out
+
+
+def trace_link_target(row: dict) -> LinkTarget:
+    """The link target of a trace row from ``read_traces``."""
+    tables = frozenset(row.get("resolved_tables", ()))
+    columns = frozenset(
+        tuple(c.split(".", 1)) for c in row.get("resolved_columns", ()) if "." in c
+    )
+    return LinkTarget(tables, columns)
 
 
 def run_summary(traces) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -24,19 +24,14 @@ log = logging.getLogger(__name__)
 
 STAGES = ("full", "link", "gen")
 
-LINK_COMPLETION_FORMAT = (
-    "tables: <table1>, <table2>\ncolumns: <table1>.<col1>, <table2>.<col2>"
+_GENERATION_PREAMBLE = (
+    "You are a text-to-SQL assistant. You translate natural-language"
+    " questions into SQLite queries over the given database schema."
 )
 
-_DEFAULT_PREAMBLES = {
-    "full": (
-        "You are a text-to-SQL assistant. You translate natural-language"
-        " questions into SQLite queries over the given database schema."
-    ),
-    "gen": (
-        "You are a text-to-SQL assistant. You translate natural-language"
-        " questions into SQLite queries over the given database schema."
-    ),
+_SYSTEM_PREAMBLES = {
+    "full": _GENERATION_PREAMBLE,
+    "gen": _GENERATION_PREAMBLE,
     "link": (
         "You are a schema-linking assistant. You identify which tables and"
         " columns of the given database schema a question needs."
@@ -50,15 +45,13 @@ def _load_default(name: str) -> str:
 
 @dataclass(frozen=True)
 class PromptTemplateSet:
-    """The two prompt templates plus per-stage system preambles.
+    """The generation and linking prompt templates.
 
     Templates are plain text with {schema} and {question} placeholders.
     """
 
     generation_template: str
     linking_template: str
-    linking_completion_format: str = LINK_COMPLETION_FORMAT
-    system_preamble: dict = field(default_factory=lambda: dict(_DEFAULT_PREAMBLES))
 
     def __post_init__(self):
         for label, tpl in (
@@ -68,16 +61,6 @@ class PromptTemplateSet:
             for ph in ("{schema}", "{question}"):
                 if ph not in tpl:
                     raise ValueError(f"{label} template is missing the {ph} placeholder")
-        missing = set(STAGES) - set(self.system_preamble)
-        if missing:
-            raise ValueError(f"system_preamble missing stages: {sorted(missing)}")
-
-    @classmethod
-    def default(cls) -> "PromptTemplateSet":
-        return cls(
-            generation_template=_load_default("generation.txt"),
-            linking_template=_load_default("linking.txt"),
-        )
 
     @classmethod
     def load(
@@ -97,9 +80,6 @@ class PromptTemplateSet:
             else _load_default("linking.txt")
         )
         return cls(generation_template=gen, linking_template=link)
-
-    def preamble_for(self, stage: str) -> str:
-        return self.system_preamble[stage]
 
 
 # -- table rendering -------------------------------------------------------
@@ -178,8 +158,13 @@ def render_schema(
     return "\n\n".join(blocks)
 
 
-def serialize_link_target(target: LinkTarget, catalog: DatabaseCatalog) -> str:
-    """Two-line normal-form serialization, members in catalog order."""
+def link_fields(
+    target: LinkTarget, catalog: DatabaseCatalog
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(tables, "table.column" columns) of a target, members in catalog order.
+
+    Names the catalog does not know sort after the known ones, by name.
+    """
     order = {name: i for i, name in enumerate(catalog.table_names)}
 
     def table_key(name: str):
@@ -191,12 +176,16 @@ def serialize_link_target(target: LinkTarget, catalog: DatabaseCatalog) -> str:
             return (0, order[t], catalog.table(t).column(c).ordinal)
         return (1, 0, (t, c))
 
-    tables = ", ".join(sorted(target.tables, key=table_key))
-    columns = ", ".join(
-        f"{t}.{c}" for t, c in sorted(target.columns, key=column_key)
-    )
-    first = f"tables: {tables}" if tables else "tables:"
-    second = f"columns: {columns}" if columns else "columns:"
+    tables = tuple(sorted(target.tables, key=table_key))
+    columns = tuple(f"{t}.{c}" for t, c in sorted(target.columns, key=column_key))
+    return tables, columns
+
+
+def serialize_link_target(target: LinkTarget, catalog: DatabaseCatalog) -> str:
+    """Two-line normal form: a "tables:" line and a "columns:" line."""
+    tables, columns = link_fields(target, catalog)
+    first = f"tables: {', '.join(tables)}" if tables else "tables:"
+    second = f"columns: {', '.join(columns)}" if columns else "columns:"
     return f"{first}\n{second}"
 
 
@@ -212,7 +201,7 @@ def prompt_parts(
 ) -> tuple[str, str]:
     """(system preamble, instantiated template body) for one request."""
     if templates is None:
-        templates = PromptTemplateSet.default()
+        templates = PromptTemplateSet.load()
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     if stage == "gen":
@@ -226,7 +215,7 @@ def prompt_parts(
         schema = render_schema(catalog)
     tpl = templates.linking_template if stage == "link" else templates.generation_template
     body = tpl.replace("{schema}", schema).replace("{question}", question)
-    return templates.preamble_for(stage), body
+    return _SYSTEM_PREAMBLES[stage], body
 
 
 def build_prompt(
@@ -260,7 +249,7 @@ def emit_sft_dataset(
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     if templates is None:
-        templates = PromptTemplateSet.default()
+        templates = PromptTemplateSet.load()
     out = Path(out)
     quarantined: list[str] = []
     digest = hashlib.sha256()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 import mockserver
 from mockserver import MockEndpoint
 
+from linksql.linker import parse_linker_output
 from linksql.orchestrate import (
+    MODES,
     EndpointConfig,
     EndpointError,
     complete,
@@ -14,9 +17,11 @@ from linksql.orchestrate import (
     run_pipeline,
     run_summary,
     trace_dict,
+    trace_link_target,
     write_traces,
 )
-from linksql.promptgen import build_prompt
+from linksql.promptgen import build_prompt, serialize_link_target
+from linksql.sqlast import LinkTarget, extract_link_targets, parse_sql
 
 
 def cfg(endpoint, **kw):
@@ -144,8 +149,13 @@ def test_config_validation():
             "Here:\n```sql\nSELECT a FROM t WHERE note = 'x;y';\n```\nDone.",
             "SELECT a FROM t WHERE note = 'x;y'",
         ),
-        # the lexer cannot read it: cut at the first ';' character
+        # an unterminated quote is a plain character
         ("SELECT a FROM t WHERE note = 'a; b", "SELECT a FROM t WHERE note = 'a"),
+        (
+            "SELECT a FROM t WHERE n = 'a;b' AND m || 'x' = 'y'",
+            "SELECT a FROM t WHERE n = 'a;b' AND m || 'x' = 'y'",
+        ),
+        ("SELECT a FROM t WHERE n = 'a;b'; -- that's all", "SELECT a FROM t WHERE n = 'a;b'"),
     ],
 )
 def test_extract_sql(raw, want):
@@ -164,6 +174,7 @@ def test_full_mode_shape(split100, catalogs, oracle_answers):
         assert trace.example_id == ex.example_id
         assert trace.mode == "full"
         assert trace.stage1_prompt is None and trace.stage1_completion is None
+        assert not trace.fallback_full_schema
         assert set(trace.resolved_tables) == set(catalogs[ex.db_id].table_names)
         assert trace.resolved_columns == ()
         assert trace.stage2_prompt == build_prompt("full", ex.question, catalogs[ex.db_id])
@@ -172,8 +183,6 @@ def test_full_mode_shape(split100, catalogs, oracle_answers):
 
 
 def test_oracle_link_mode_uses_gold_tables(split100, catalogs, oracle_answers):
-    from linksql.sqlast import extract_link_targets, parse_sql
-
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(
             "oracle_link", split100, catalogs, config=cfg(ep), sleep=_no_sleep
@@ -217,6 +226,75 @@ def test_dts_garbage_linker_falls_back_to_full_schema(split100, catalogs, oracle
         assert set(trace.resolved_tables) == set(catalogs[ex.db_id].table_names)
         assert trace.stage2_prompt == build_prompt("full", ex.question, catalogs[ex.db_id])
         assert trace.extracted_sql == ex.gold_sql  # generation still succeeds
+
+
+@pytest.mark.parametrize(
+    "gold",
+    [
+        "SELECT name FROM ghost",  # resolution error
+        "SELECT name FROM venue WHERE city = 'a' || 'b'",  # outside the lexer
+    ],
+)
+def test_oracle_link_unusable_gold_falls_back_to_full_schema(split100, catalogs, gold):
+    ex = next(e for e in split100.examples if e.db_id == "venue_events")
+    ex = dataclasses.replace(ex, gold_sql=gold)
+    split = type(split100)(split100.name, (ex,), split100.db_root)
+    cat = catalogs[ex.db_id]
+    with MockEndpoint(mockserver.constant("SELECT 1")) as ep:
+        (trace,) = run_pipeline(
+            "oracle_link", split, catalogs, config=cfg(ep), sleep=_no_sleep
+        )
+    assert trace.fallback_full_schema
+    assert trace.error.startswith("gold SQL unusable for linking")
+    assert set(trace.resolved_tables) == set(cat.table_names)
+    assert trace.resolved_columns == ()
+    assert trace.stage2_prompt == build_prompt("full", ex.question, cat)
+    assert trace.extracted_sql == "SELECT 1"
+
+
+def _expected_target(mode, trace, ex, cat):
+    if mode == "full":
+        return LinkTarget(frozenset(cat.table_names), frozenset())
+    if mode == "oracle_link":
+        return extract_link_targets(parse_sql(ex.gold_sql, cat))
+    return parse_linker_output(trace.stage1_completion, cat)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_trace_link_fields_match_serialized_target(split100, catalogs, oracle_answers, mode):
+    split = type(split100)(split100.name, split100.examples[:12], split100.db_root)
+    with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
+        traces = run_pipeline(mode, split, catalogs, config=cfg(ep), sleep=_no_sleep)
+    for trace, ex in zip(traces, split.examples):
+        cat = catalogs[ex.db_id]
+        joined = "\n".join(
+            f"{label}: {', '.join(values)}".rstrip()
+            for label, values in (
+                ("tables", trace.resolved_tables),
+                ("columns", trace.resolved_columns),
+            )
+        )
+        assert joined == serialize_link_target(_expected_target(mode, trace, ex, cat), cat)
+
+
+def test_trace_link_target_reads_back_written_dts_trace(
+    split100, catalogs, oracle_answers, tmp_path
+):
+    split = type(split100)(split100.name, split100.examples[:12], split100.db_root)
+    with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
+        traces = run_pipeline(
+            "dts",
+            split,
+            catalogs,
+            config=cfg(ep),
+            trace_path=tmp_path / "traces.jsonl",
+            sleep=_no_sleep,
+        )
+    rows = read_traces(tmp_path / "traces.jsonl")
+    for row, trace, ex in zip(rows, traces, split.examples):
+        target = parse_linker_output(trace.stage1_completion, catalogs[ex.db_id])
+        assert target.columns
+        assert trace_link_target(row) == target
 
 
 def test_pipeline_isolates_endpoint_failures(split100, catalogs, oracle_answers):

@@ -5,7 +5,6 @@ import re
 import pytest
 
 from linksql.promptgen import (
-    LINK_COMPLETION_FORMAT,
     STAGES,
     PromptTemplateSet,
     build_prompt,
@@ -94,7 +93,8 @@ def test_serialize_empty_target(catalogs):
 
 
 def test_serialize_matches_documented_format():
-    assert "tables:" in LINK_COMPLETION_FORMAT and "columns:" in LINK_COMPLETION_FORMAT
+    linking = PromptTemplateSet.load().linking_template
+    assert '"tables:" line' in linking and '"columns:" line' in linking
 
 
 def test_stage_names():
