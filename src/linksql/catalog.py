@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import sqlite3
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -84,14 +84,12 @@ class DatabaseCatalog:
     """Full relational schema of one database.
 
     ``tables`` preserves metadata order, which is the canonical rendering
-    order for prompts. ``db_file_path`` is set once sample rows have been
-    attached from a concrete SQLite file.
+    order for prompts.
     """
 
     db_id: str
     tables: tuple[TableDef, ...]
     foreign_keys: tuple[ForeignKey, ...] = ()
-    db_file_path: Path | None = field(default=None, compare=False)
 
     @cached_property
     def table_map(self) -> dict[str, TableDef]:
@@ -107,18 +105,6 @@ class DatabaseCatalog:
 
     def has_table(self, normal_name: str) -> bool:
         return normal_name in self.table_map
-
-    def resolve_fk_endpoints(self) -> None:
-        """Assert that every foreign-key endpoint names a real column.
-
-        Raises CatalogError on the first dangling endpoint.
-        """
-        for fk in self.foreign_keys:
-            for tbl, col in ((fk.from_table, fk.from_column), (fk.to_table, fk.to_column)):
-                if not self.has_table(tbl) or not self.table(tbl).has_column(col):
-                    raise CatalogError(
-                        f"db {self.db_id!r}: foreign key endpoint {tbl}.{col} does not resolve"
-                    )
 
 
 def load_catalogs(tables_metadata_file: str | Path) -> list[DatabaseCatalog]:
@@ -225,9 +211,7 @@ def _build_catalog(entry: dict, path: Path) -> DatabaseCatalog:
             raise schema_error(f"duplicate table name {t.normal_name!r}")
         seen.add(t.normal_name)
 
-    catalog = DatabaseCatalog(db_id=db_id, tables=tables, foreign_keys=tuple(fks))
-    catalog.resolve_fk_endpoints()
-    return catalog
+    return DatabaseCatalog(db_id=db_id, tables=tables, foreign_keys=tuple(fks))
 
 
 def render_cell(value: object) -> str:
@@ -280,7 +264,7 @@ def attach_samples(
         )
     finally:
         conn.close()
-    return replace(catalog, tables=tables, db_file_path=path)
+    return replace(catalog, tables=tables)
 
 
 def _fetch_samples(

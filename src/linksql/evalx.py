@@ -2,11 +2,15 @@
 
 Execution accuracy compares result tables after canonicalizing every
 cell to a hashable key: NULLs compare equal to each other, integers and
-integral reals unify exactly, and non-integral reals are quantized to
-seven significant digits (the realization of a 1e-6 relative tolerance
-that keeps multiset comparison well defined). Column order is free: two
-result tables count as identical when some single column permutation
-aligns them, matching the set treatment of select items.
+integral reals unify exactly, and a non-integral real becomes its
+seven-significant-digit spelling ``f"{x:.6e}"``. That is quantization,
+not a tolerance: two reals share a key iff they round to the same
+spelling, so values 1e-14 apart can straddle a rounding boundary
+(1.0000005 and 1.00000049999999 differ) while values 4e-7 apart can
+share one. Unlike a tolerance it is transitive, which keeps multiset
+comparison well defined. Column order is free: two result tables count
+as identical when some single column permutation aligns them, matching
+the set treatment of select items.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from pathlib import Path
 from .catalog import DatabaseCatalog
 from .ingest import Split
 from .linker import LinkingSummary, aggregate_linking, score_linking
-from .sqlast import LinkTarget, QueryAst, extract_link_targets, parse_sql
+from .sqlast import LinkTarget, QueryAst, SqlError, SqlParseError, extract_link_targets, parse_sql
 from .sqlast import exact_set_match as _ast_exact_set_match
-from .sqlast.lexer import SqlParseError
-from .sqlast.parser import ResolutionError, has_toplevel_order
+from .sqlast.parser import has_toplevel_order
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +102,7 @@ def em_with_detail(
         gold_ast = parse_sql(gold, catalog)
     try:
         pred_ast = parse_sql(pred, catalog)
-    except (SqlParseError, ResolutionError):
+    except SqlError:
         return False, "pred_parse_error"
     if _ast_exact_set_match(pred_ast, gold_ast, ignore_values):
         return True, None
@@ -398,7 +401,7 @@ def evaluate_split(
             catalog = catalogs[ex.db_id]
             try:
                 gold_ast = parse_sql(ex.gold_sql, catalog)
-            except (SqlParseError, ResolutionError):
+            except SqlError:
                 quarantined.append(ex.example_id)
                 continue
             if ex.db_file is None:

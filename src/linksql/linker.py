@@ -52,7 +52,7 @@ def _strip_punct(name: str) -> str:
     return re.sub(r"[^a-z0-9]", "", name)
 
 
-def _match_table(raw: str, catalog: DatabaseCatalog, warnings: list[str]) -> str | None:
+def _match_table(raw: str, catalog: DatabaseCatalog) -> str | None:
     norm = raw.strip().lower()
     if not norm:
         return None
@@ -62,7 +62,7 @@ def _match_table(raw: str, catalog: DatabaseCatalog, warnings: list[str]) -> str
     candidates = [t for t in catalog.table_names if _strip_punct(t) == stripped]
     if len(candidates) == 1:
         return candidates[0]
-    warnings.append(f"dropped unknown table {raw.strip()!r}")
+    log.debug("dropped unknown table %r", raw.strip())
     return None
 
 
@@ -88,28 +88,24 @@ def _find_line(lines: list[str], prefix: str) -> str | None:
     return None
 
 
-def parse_linker_output(
-    text: str, catalog: DatabaseCatalog, warnings: list[str] | None = None
-) -> LinkTarget:
+def parse_linker_output(text: str, catalog: DatabaseCatalog) -> LinkTarget:
     """Best-effort parse of a linker completion into a LinkTarget.
 
     Total on arbitrary text: identifiers are matched to the catalog by
     lowercase equality first, then with punctuation stripped; anything
-    unmatched is dropped with a warning. Garbage yields an empty target.
+    unmatched is dropped and logged at debug level. Garbage yields an
+    empty target.
     """
-    recorded: list[str] = [] if warnings is None else warnings
     lines = text.splitlines()
     tables_part = _find_line(lines, "tables:")
     columns_part = _find_line(lines, "columns:")
     if tables_part is None and columns_part is None:
-        recorded.append("no tables/columns lines found in linker output")
-        if warnings is None:
-            log.debug("linker output unparseable: %.80r", text)
+        log.debug("no tables/columns lines found in linker output: %.80r", text)
         return LinkTarget(frozenset(), frozenset())
 
     tables: set[str] = set()
     for item in (tables_part or "").split(","):
-        matched = _match_table(item, catalog, recorded)
+        matched = _match_table(item, catalog)
         if matched is not None:
             tables.add(matched)
 
@@ -120,12 +116,12 @@ def parse_linker_output(
             continue
         if "." in item:
             qual, col = item.split(".", 1)
-            table = _match_table(qual, catalog, recorded)
+            table = _match_table(qual, catalog)
             if table is None:
                 continue
             matched_col = _match_column_in(table, col, catalog)
             if matched_col is None:
-                recorded.append(f"dropped unknown column {item!r}")
+                log.debug("dropped unknown column %r", item)
                 continue
             columns.add((table, matched_col))
         else:
@@ -137,10 +133,8 @@ def parse_linker_output(
             if len(owners) == 1:
                 columns.add((owners[0], _match_column_in(owners[0], item, catalog)))
             else:
-                recorded.append(f"dropped unqualified column {item!r}")
+                log.debug("dropped unqualified column %r", item)
 
-    for message in recorded if warnings is None else []:
-        log.debug("%s", message)
     return LinkTarget(frozenset(tables), frozenset(columns))
 
 

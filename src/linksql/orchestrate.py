@@ -27,7 +27,7 @@ from .catalog import DatabaseCatalog
 from .ingest import Split
 from .linker import parse_linker_output
 from .promptgen import PromptTemplateSet, link_fields, prompt_parts
-from .sqlast import LinkTarget, ResolutionError, SqlParseError, extract_link_targets, parse_sql
+from .sqlast import LinkTarget, SqlError, extract_link_targets, parse_sql
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +192,7 @@ def run_pipeline(
         if mode == "oracle_link":
             try:
                 target = extract_link_targets(parse_sql(ex.gold_sql, catalog))
-            except (SqlParseError, ResolutionError) as err:
+            except SqlError as err:
                 errors.append(f"gold SQL unusable for linking: {err}")
         elif mode == "dts":
             s1_system, s1_body = prompt_parts("link", ex.question, catalog, None, templates)

@@ -16,9 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .catalog import DatabaseCatalog, ForeignKey, TableDef
-from .sqlast import LinkTarget, extract_link_targets, parse_sql
-from .sqlast.lexer import SqlParseError
-from .sqlast.parser import ResolutionError
+from .sqlast import LinkTarget, SqlError, extract_link_targets, parse_sql
 
 log = logging.getLogger(__name__)
 
@@ -261,7 +259,7 @@ def emit_sft_dataset(
             catalog = catalogs[ex.db_id]
             try:
                 ast = parse_sql(ex.gold_sql, catalog)
-            except (SqlParseError, ResolutionError) as err:
+            except SqlError as err:
                 log.warning("quarantined %s: %s", ex.example_id, err)
                 quarantined.append(ex.example_id)
                 continue

@@ -16,7 +16,6 @@ from .nodes import (
     OrderItem,
     Predicate,
     QueryAst,
-    SelectItem,
     Star,
 )
 
@@ -52,7 +51,7 @@ def extract_link_targets(ast: QueryAst) -> LinkTarget:
 def _collect_query(q: QueryAst, tables: set, columns: set) -> None:
     tables.update(q.from_tables)
     for item in q.select_items:
-        _collect_expr(item.expr, tables, columns)
+        _collect_expr(item, tables, columns)
     for d in q.derived:
         _collect_query(d.query, tables, columns)
     for pair in q.join_conditions:
@@ -134,7 +133,7 @@ def exact_set_match(pred: QueryAst, gold: QueryAst, ignore_values: bool = False)
 def _canon_query(q: QueryAst, iv: bool) -> tuple:
     core = (
         "query",
-        (q.select_distinct, _sorted(_canon_item(it, iv) for it in q.select_items)),
+        (q.select_distinct, _sorted(_canon_expr(it, iv) for it in q.select_items)),
         (
             tuple(sorted(q.from_tables)),
             _sorted(_canon_query(d.query, iv) for d in q.derived),
@@ -161,12 +160,6 @@ def _canon_query(q: QueryAst, iv: bool) -> tuple:
 
 def _sorted(items) -> tuple:
     return tuple(sorted(items, key=repr))
-
-
-def _canon_item(item: SelectItem, iv: bool) -> tuple:
-    if item.aggregate is not None:
-        return ("agg", item.aggregate, item.distinct, _canon_expr(item.expr, iv))
-    return _canon_expr(item.expr, iv)
 
 
 def _canon_expr(expr, iv: bool) -> tuple:
@@ -233,7 +226,7 @@ def _render_core(q: QueryAst) -> str:
     parts = ["SELECT"]
     if q.select_distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join(_render_item(it) for it in q.select_items))
+    parts.append(", ".join(_render_expr(it) for it in q.select_items))
     parts.append("FROM")
     parts.append(_render_from(q))
     if q.where_tree is not None:
@@ -281,15 +274,6 @@ def _render_source(name: str, derived: dict[str, DerivedTable]) -> str:
     if name in derived:
         return f"({render_sql(derived[name].query)}) AS {name.lstrip('#')}"
     return name
-
-
-def _render_item(item: SelectItem) -> str:
-    if item.aggregate is not None:
-        inner = _render_expr(item.expr)
-        if item.distinct:
-            inner = f"DISTINCT {inner}"
-        return f"{item.aggregate}({inner})"
-    return _render_expr(item.expr)
 
 
 def _render_expr(expr) -> str:

@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class SqlParseError(Exception):
+class SqlError(Exception):
+    """A query outside the supported dialect: the base of SqlParseError
+    (syntax) and ResolutionError (a name the catalog does not have)."""
+
+
+class SqlParseError(SqlError):
     """Lexical or syntax error, carrying the offending position."""
 
     def __init__(self, message: str, pos: int):

@@ -5,11 +5,15 @@ share. Identifier fields hold catalog normal-form names after resolution;
 derived tables (subqueries in FROM) get positional scope-local names of
 the form ``#sq0``, ``#sq1`` so structurally equal queries compare equal
 regardless of the aliases the author chose.
+
+A select item is a plain expression, like any other value position, so an
+aggregate call is an ``Agg`` node wherever it is written: ``count(*)`` in
+the select list and ``count(*)`` in HAVING are the same node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 AGGREGATES = ("count", "sum", "avg", "min", "max")
 ARITH_OPS = ("+", "-", "*", "/")
@@ -85,15 +89,6 @@ Expr = object
 
 
 @dataclass(frozen=True)
-class SelectItem:
-    """One output column: optional aggregate, aggregate-DISTINCT flag, expr."""
-
-    aggregate: str | None
-    distinct: bool
-    expr: Expr
-
-
-@dataclass(frozen=True)
 class Predicate:
     """A comparison leaf in a WHERE/HAVING tree.
 
@@ -159,7 +154,7 @@ class QueryAst:
     """
 
     select_distinct: bool
-    select_items: tuple[SelectItem, ...]
+    select_items: tuple[Expr, ...]
     from_order: tuple[str, ...]
     derived: tuple[DerivedTable, ...] = ()
     join_conditions: frozenset[JoinPair] = frozenset()

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 from ..catalog import DatabaseCatalog
-from .lexer import SqlParseError, Token, tokenize
+from .lexer import SqlError, SqlParseError, Token, tokenize
 from .nodes import (
     AGGREGATES,
     COMPARE_OPS,
@@ -29,7 +29,6 @@ from .nodes import (
     OrderItem,
     Predicate,
     QueryAst,
-    SelectItem,
     SetOp,
     Star,
 )
@@ -37,7 +36,7 @@ from .nodes import (
 log = logging.getLogger(__name__)
 
 
-class ResolutionError(Exception):
+class ResolutionError(SqlError):
     """An identifier in the query does not resolve against the catalog."""
 
 
@@ -204,35 +203,17 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def parse_select_item(self) -> SelectItem:
+    def parse_select_item(self):
         if self.at_op("*"):
             self.take()
-            return SelectItem(None, False, Star(None))
+            return Star(None)
         if self.peek().kind == "IDENT" and self.peek(1).kind == "OP" and self.peek(1).value == "." \
                 and self.peek(2).kind == "OP" and self.peek(2).value == "*":
             qual = self.take().value
             self.take()
             self.take()
-            return SelectItem(None, False, Star(qual))
-        if self._at_agg_call():
-            func = self.take().value.lower()
-            self.expect_op("(")
-            distinct = False
-            if self.peek().is_kw("distinct"):
-                self.take()
-                distinct = True
-            if self.at_op("*"):
-                self.take()
-                arg: object = Star(None)
-            else:
-                arg = self.parse_arith()
-            self.expect_op(")")
-            # An aggregate can participate in arithmetic: max(a) - min(a).
-            if self.at_op("+", "-", "*", "/"):
-                expr = self._arith_tail(self._term_tail(Agg(func, distinct, arg)))
-                return SelectItem(None, False, expr)
-            return SelectItem(func, distinct, arg)
-        return SelectItem(None, False, self.parse_arith())
+            return Star(qual)
+        return self.parse_arith()
 
     def _at_agg_call(self) -> bool:
         tok = self.peek()
@@ -424,14 +405,8 @@ class _Scope:
 
 
 class _Resolver:
-    def __init__(self, catalog: DatabaseCatalog, warnings: list[str] | None):
+    def __init__(self, catalog: DatabaseCatalog):
         self.catalog = catalog
-        self.warnings = warnings
-
-    def warn(self, message: str) -> None:
-        log.debug("%s", message)
-        if self.warnings is not None:
-            self.warnings.append(message)
 
     def resolve_query(self, raw: _RawQuery, parent: _Scope | None) -> QueryAst:
         scope = _Scope(parent)
@@ -476,10 +451,7 @@ class _Resolver:
             parts = leftovers + ([where] if where is not None else [])
             where = parts[0] if len(parts) == 1 else BoolNode("and", tuple(parts))
 
-        items = tuple(
-            SelectItem(it.aggregate, it.distinct, self.resolve_expr(it.expr, scope))
-            for it in raw.items
-        )
+        items = tuple(self.resolve_expr(it, scope) for it in raw.items)
         group = tuple(self.resolve_ref(r, scope) for r in raw.group)
         having = self.resolve_tree(raw.having, scope) if raw.having is not None else None
         order = tuple(
@@ -567,9 +539,10 @@ class _Resolver:
             ]
             if matches:
                 if len(matches) > 1:
-                    self.warn(
-                        f"ambiguous column {ref.name!r}: using first FROM table"
-                        f" {matches[0][1]!r}"
+                    log.debug(
+                        "ambiguous column %r: using first FROM table %r",
+                        ref.name,
+                        matches[0][1],
                     )
                 return ColumnRef(matches[0][1], col)
             s = s.parent
@@ -620,11 +593,10 @@ def _output_columns(sub: QueryAst, catalog: DatabaseCatalog) -> tuple[str, ...]:
     derived_map = {d.name: d.query for d in sub.derived}
     out: list[str] = []
     for item in sub.select_items:
-        expr = item.expr
-        if item.aggregate is None and isinstance(expr, ColumnRef):
-            out.append(expr.column)
-        elif item.aggregate is None and isinstance(expr, Star):
-            sources = [expr.table] if expr.table is not None else list(sub.from_order)
+        if isinstance(item, ColumnRef):
+            out.append(item.column)
+        elif isinstance(item, Star):
+            sources = [item.table] if item.table is not None else list(sub.from_order)
             for t in sources:
                 if t in derived_map:
                     out.extend(_output_columns(derived_map[t], catalog))
@@ -633,21 +605,19 @@ def _output_columns(sub: QueryAst, catalog: DatabaseCatalog) -> tuple[str, ...]:
     return tuple(out)
 
 
-def parse_sql(
-    query: str, catalog: DatabaseCatalog, warnings: list[str] | None = None
-) -> QueryAst:
+def parse_sql(query: str, catalog: DatabaseCatalog) -> QueryAst:
     """Parse one SELECT statement and resolve it against the catalog.
 
     Aliases are substituted by canonical table names and unqualified
     columns are looked up in FROM order; an unqualified column present in
-    more than one joined table resolves to the earliest table, with a
-    warning appended to ``warnings`` when a list is given.
+    more than one joined table resolves to the earliest table, logged at
+    debug level.
 
     Raises SqlParseError (with token position) on lexical or syntax
     errors and ResolutionError when an identifier does not exist in the
-    catalog.
+    catalog; both are SqlError.
     """
-    return _Resolver(catalog, warnings).resolve_query(_parse_raw(query), None)
+    return _Resolver(catalog).resolve_query(_parse_raw(query), None)
 
 
 def has_toplevel_order(query: str) -> bool:

@@ -48,7 +48,6 @@ def test_foreign_keys_resolved_to_names(catalogs):
     }
     assert ("shop_order", "customer_id", "customer", "customer_id") in fks
     assert ("order_item", "product_id", "product", "product_id") in fks
-    catalogs["retail"].resolve_fk_endpoints()
 
 
 def test_column_types_preserved(catalogs):
@@ -99,6 +98,21 @@ def test_out_of_range_column_index(tmp_path):
         load_catalogs(bad)
 
 
+def test_foreign_key_out_of_range_column_index(tmp_path):
+    entry = {
+        "db_id": "dangling_fk",
+        "table_names_original": ["T", "U"],
+        "column_names_original": [[-1, "*"], [0, "A"], [1, "B"]],
+        "column_types": ["text", "text", "text"],
+        "primary_keys": [1],
+        "foreign_keys": [[2, 9]],
+    }
+    bad = tmp_path / "tables.json"
+    bad.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(CatalogError, match=r"db 'dangling_fk': foreign key .* index 9"):
+        load_catalogs(bad)
+
+
 def test_attach_samples_copies(catalogs, fixture_paths):
     cat = catalogs["library"]
     db = db_file_for(fixture_paths["db_root_a"], "library")
@@ -110,7 +124,6 @@ def test_attach_samples_copies(catalogs, fixture_paths):
         for row in table.sample_rows:
             assert len(row) == len(table.columns)
             assert all(isinstance(cell, str) for cell in row)
-    assert sampled.db_file_path == db
 
 
 def test_attach_samples_missing_file(catalogs, tmp_path):

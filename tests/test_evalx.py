@@ -4,12 +4,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from linksql.evalx import (
     DEFAULT_TIMEOUT_MS,
     FAILURE_KINDS,
     EvalReport,
     GoldExecutionError,
+    _cell_key,
     aggregate,
     em_with_detail,
     evaluate_pair,
@@ -123,11 +126,38 @@ def test_ex_int_float_unify(scratch_db):
 
 
 def test_ex_float_tolerance(scratch_db):
-    # differ at the 9th significant digit: inside the relative tolerance
+    # differ at the 9th significant digit: same 7-significant-digit key
     assert execution_accuracy(
         "SELECT 1.000000001", "SELECT 1.0000000005", scratch_db
     )
     assert not execution_accuracy("SELECT 1.001", "SELECT 1.002", scratch_db)
+
+
+_non_integral = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda v: not v.is_integer()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=_non_integral,
+    y=st.one_of(
+        _non_integral,
+        st.tuples(_non_integral, st.floats(-2e-6, 2e-6)).map(lambda p: p[0] * (1 + p[1])),
+    ),
+)
+@example(x=1.0000005, y=1.00000049999999)
+def test_cell_key_is_seven_digit_quantization(x, y):
+    assume(not y.is_integer())
+    assert (_cell_key(x) == _cell_key(y)) == (f"{x:.6e}" == f"{y:.6e}")
+
+
+def test_cell_key_boundary_is_not_a_tolerance():
+    # 1e-14 apart relative to each other, yet on two sides of a rounding
+    # boundary: the keys differ, so EX calls the cells different.
+    x, y = 1.0000005, 1.00000049999999
+    assert abs(x - y) / x < 1e-13
+    assert _cell_key(x) != _cell_key(y)
 
 
 def test_ex_text_number_distinct(scratch_db):

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +25,15 @@ def test_parse_exact_serialization(cat):
     assert set(target.columns) == {("venue", "city"), ("event", "title")}
 
 
-def test_parse_is_total_on_garbage(cat):
-    warnings = []
-    target = parse_linker_output("I cannot answer that.", cat, warnings=warnings)
+def _debug_messages(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "linksql.linker"]
+
+
+def test_parse_is_total_on_garbage(cat, caplog):
+    caplog.set_level(logging.DEBUG, logger="linksql.linker")
+    target = parse_linker_output("I cannot answer that.", cat)
     assert target.is_empty
-    assert warnings
+    assert _debug_messages(caplog)
 
 
 def test_parse_tolerates_surrounding_prose(cat):
@@ -59,14 +65,14 @@ def test_parse_fuzzy_on_matching_schema(catalogs):
     assert set(target.columns) == {("shop_order", "order_id")}
 
 
-def test_parse_unknown_dropped_with_warning(cat):
-    warnings = []
+def test_parse_unknown_dropped_with_warning(cat, caplog):
+    caplog.set_level(logging.DEBUG, logger="linksql.linker")
     target = parse_linker_output(
-        "tables: venue, ghosts\ncolumns: venue.city, venue.nothing", cat, warnings=warnings
+        "tables: venue, ghosts\ncolumns: venue.city, venue.nothing", cat
     )
     assert set(target.tables) == {"venue"}
     assert set(target.columns) == {("venue", "city")}
-    assert len(warnings) == 2
+    assert len(_debug_messages(caplog)) == 2
 
 
 def test_parse_unqualified_column_unique_owner(cat):
@@ -74,12 +80,12 @@ def test_parse_unqualified_column_unique_owner(cat):
     assert set(target.columns) == {("event", "ticket_price")}
 
 
-def test_parse_unqualified_column_ambiguous_dropped(cat):
-    warnings = []
+def test_parse_unqualified_column_ambiguous_dropped(cat, caplog):
+    caplog.set_level(logging.DEBUG, logger="linksql.linker")
     # Venue and Artist both carry a Name column
-    target = parse_linker_output("tables:\ncolumns: name", cat, warnings=warnings)
+    target = parse_linker_output("tables:\ncolumns: name", cat)
     assert target.is_empty
-    assert warnings
+    assert _debug_messages(caplog)
 
 
 def test_parse_empty_lines(cat):

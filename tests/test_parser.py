@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from linksql.sqlast import (
     Literal,
     Predicate,
     ResolutionError,
+    SqlError,
     SqlParseError,
     Star,
     exact_set_match,
@@ -27,7 +30,7 @@ def cat(catalogs):
 def test_simple_select(cat):
     ast = parse_sql("SELECT Venue.Name FROM Venue", cat)
     assert ast.from_order == ("venue",)
-    assert ast.select_items[0].expr == ColumnRef("venue", "name")
+    assert ast.select_items[0] == ColumnRef("venue", "name")
     assert not ast.select_distinct
 
 
@@ -39,7 +42,7 @@ def test_case_insensitive_identifiers(cat):
 
 def test_unqualified_column_resolves(cat):
     ast = parse_sql("SELECT Capacity FROM Venue", cat)
-    assert ast.select_items[0].expr == ColumnRef("venue", "capacity")
+    assert ast.select_items[0] == ColumnRef("venue", "capacity")
 
 
 def test_bare_alias_and_as_alias(cat):
@@ -48,22 +51,22 @@ def test_bare_alias_and_as_alias(cat):
         "SELECT T1.Name FROM Venue T1",
     ):
         ast = parse_sql(sql, cat)
-        assert ast.select_items[0].expr == ColumnRef("venue", "name")
+        assert ast.select_items[0] == ColumnRef("venue", "name")
 
 
 def test_alias_shadows_table_name(cat):
     # Venue aliased away; the alias is the only way to reach it
     ast = parse_sql("SELECT v.City FROM Venue v", cat)
-    assert ast.select_items[0].expr == ColumnRef("venue", "city")
+    assert ast.select_items[0] == ColumnRef("venue", "city")
     with pytest.raises(ResolutionError):
         parse_sql("SELECT Venue.City FROM Venue v JOIN Artist a ON v.Venue_ID = a.Artist_ID", cat)
 
 
 def test_star_and_qualified_star(cat):
     ast = parse_sql("SELECT * FROM Venue", cat)
-    assert ast.select_items[0].expr == Star(None)
+    assert ast.select_items[0] == Star(None)
     ast = parse_sql("SELECT Venue.* FROM Venue", cat)
-    assert ast.select_items[0].expr == Star("venue")
+    assert ast.select_items[0] == Star("venue")
 
 
 def test_distinct_flag(cat):
@@ -72,22 +75,35 @@ def test_distinct_flag(cat):
 
 def test_aggregates(cat):
     ast = parse_sql("SELECT count(*), avg(Capacity), count(DISTINCT City) FROM Venue", cat)
-    items = ast.select_items
-    assert items[0].aggregate == "count" and items[0].expr == Star(None)
-    assert items[1].aggregate == "avg"
-    assert items[2].aggregate == "count" and items[2].distinct
+    assert ast.select_items == (
+        Agg("count", False, Star(None)),
+        Agg("avg", False, ColumnRef("venue", "capacity")),
+        Agg("count", True, ColumnRef("venue", "city")),
+    )
+
+
+def test_select_aggregate_is_the_same_node_as_elsewhere(cat):
+    ast = parse_sql(
+        "SELECT count(DISTINCT City) FROM Venue GROUP BY Venue_ID"
+        " HAVING count(DISTINCT City) > 1 ORDER BY count(DISTINCT City)",
+        cat,
+    )
+    call = Agg("count", True, ColumnRef("venue", "city"))
+    assert ast.select_items == (call,)
+    assert ast.having_tree.lhs == call
+    assert ast.order_by[0].expr == call
 
 
 def test_aggregate_inside_arithmetic(cat):
     ast = parse_sql("SELECT max(Capacity) - min(Capacity) FROM Venue", cat)
-    expr = ast.select_items[0].expr
+    expr = ast.select_items[0]
     assert isinstance(expr, Arith) and expr.op == "-"
     assert isinstance(expr.left, Agg) and isinstance(expr.right, Agg)
 
 
 def test_arithmetic_precedence(cat):
     ast = parse_sql("SELECT Capacity + Venue_ID * 2 FROM Venue", cat)
-    expr = ast.select_items[0].expr
+    expr = ast.select_items[0]
     assert expr.op == "+"
     assert isinstance(expr.right, Arith) and expr.right.op == "*"
 
@@ -173,7 +189,7 @@ def test_scalar_subquery_compare(cat):
         "SELECT Name FROM Venue WHERE Capacity > (SELECT avg(Capacity) FROM Venue)", cat
     )
     assert ast.where_tree.op == ">"
-    assert ast.where_tree.rhs.select_items[0].aggregate == "avg"
+    assert ast.where_tree.rhs.select_items[0] == Agg("avg", False, ColumnRef("venue", "capacity"))
 
 
 def test_exists_correlates_to_outer_scope(cat):
@@ -205,7 +221,7 @@ def test_derived_alias_does_not_change_name(cat):
 
 def test_derived_output_column_resolves(cat):
     ast = parse_sql("SELECT City FROM (SELECT City FROM Venue)", cat)
-    assert ast.select_items[0].expr == ColumnRef("#sq0", "city")
+    assert ast.select_items[0] == ColumnRef("#sq0", "city")
 
 
 def test_set_ops(cat):
@@ -256,16 +272,14 @@ def test_trailing_semicolon_ok(cat):
     parse_sql("SELECT Name FROM Venue;", cat)
 
 
-def test_ambiguous_unqualified_warns_and_picks_first(cat):
-    warnings = []
+def test_ambiguous_unqualified_warns_and_picks_first(cat, caplog):
+    caplog.set_level(logging.DEBUG, logger="linksql.sqlast.parser")
     # Venue and Artist both have a Name column
     ast = parse_sql(
-        "SELECT Name FROM Venue JOIN Artist ON Venue.Venue_ID = Artist.Artist_ID",
-        cat,
-        warnings=warnings,
+        "SELECT Name FROM Venue JOIN Artist ON Venue.Venue_ID = Artist.Artist_ID", cat
     )
-    assert ast.select_items[0].expr == ColumnRef("venue", "name")
-    assert any("ambiguous" in w.lower() for w in warnings)
+    assert ast.select_items[0] == ColumnRef("venue", "name")
+    assert any("ambiguous" in r.getMessage().lower() for r in caplog.records)
 
 
 @pytest.mark.parametrize(
@@ -304,6 +318,14 @@ def test_syntax_rejected(cat, sql):
 )
 def test_resolution_rejected(cat, sql):
     with pytest.raises(ResolutionError):
+        parse_sql(sql, cat)
+
+
+@pytest.mark.parametrize(
+    "sql", ["SELECT Name FROM Venue WHERE", "SELECT Name FROM Nowhere"]
+)
+def test_dialect_errors_share_one_base(cat, sql):
+    with pytest.raises(SqlError):
         parse_sql(sql, cat)
 
 
