@@ -8,20 +8,33 @@ Each mode only decides the link target that stage 2 generates over:
 Stage 2 sees only the target's tables. With no target, or one without
 tables, it sees every table; outside ``full`` mode the trace then sets
 ``fallback_full_schema``.
+
+The endpoint client is the standard library's ``http.client``. Both
+stages of an example cost one request each, so the fixed cost of a
+request is paid twice: ``run_pipeline`` therefore gives each of its
+``max_parallel_requests`` worker threads one keep-alive
+``EndpointConnection``, opened on the thread's first request and closed
+when the run ends. ``complete`` sends one chat request and retries
+transport errors, 5xx, 429 and malformed bodies with doubling backoff,
+waiting longer where a ``Retry-After`` asks for it.
 """
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import logging
 import os
 import re
+import ssl
+import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from .catalog import DatabaseCatalog
 from .ingest import Split
@@ -53,6 +66,12 @@ class EndpointConfig:
     def __post_init__(self):
         if not self.base_url:
             raise ValueError("base_url is required")
+        url = urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"base_url must be an http:// or https:// URL with a host, got {self.base_url!r}"
+            )
+        url.port  # raises ValueError on a malformed port
         if not self.model_name:
             raise ValueError("model_name is required")
         if self.temperature < 0:
@@ -79,61 +98,155 @@ class TwoStageTrace:
     error: str | None = None
 
 
+class EndpointConnection:
+    """One keep-alive HTTP/1.1 connection to the endpoint of a config.
+
+    The socket opens on the first request and reopens after the server
+    closes it. Proxy settings (``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY``)
+    are read once, here: an http target is then requested in absolute form
+    from the proxy, an https target through a CONNECT tunnel, and
+    credentials in the proxy URL become a ``Proxy-Authorization`` header.
+    TLS is verified against the system trust store. Every socket operation
+    times out after ``request_timeout_ms``. Not safe to share between
+    threads.
+    """
+
+    def __init__(self, config: EndpointConfig):
+        url = urlsplit(config.base_url.rstrip("/") + "/chat/completions")
+        host, port = url.hostname, url.port
+        timeout = config.request_timeout_ms / 1000.0
+        self._target = url.path + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+
+        proxy = urllib.request.getproxies().get(url.scheme)
+        proxy_headers = {}
+        if proxy and urllib.request.proxy_bypass(f"{host}:{port}" if port else host):
+            proxy = None
+        if proxy is None:
+            via_host, via_port = host, port
+        else:
+            proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_url.scheme != "http" or not proxy_url.hostname:
+                raise EndpointError(f"unsupported {url.scheme} proxy {proxy_url.scheme}://")
+            via_host, via_port = proxy_url.hostname, proxy_url.port or 80
+            if proxy_url.username is not None:
+                credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+
+        if url.scheme == "https":
+            self._conn = http.client.HTTPSConnection(
+                via_host, via_port, timeout=timeout, context=ssl.create_default_context()
+            )
+            if proxy is not None:
+                self._conn.set_tunnel(host, port, headers=proxy_headers)
+        else:
+            self._conn = http.client.HTTPConnection(via_host, via_port, timeout=timeout)
+            if proxy is not None:
+                self._target = url.geturl()
+                self._headers.update(proxy_headers)
+
+    def post(self, body: bytes, headers: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """Status, headers and body of one POST to the endpoint.
+
+        The server may have closed a kept-alive socket while it sat idle,
+        so a request that fails on a reused socket before any response
+        arrives is sent once more, at once, on a fresh socket.
+        """
+        headers = {**self._headers, **headers}
+        reused = self._conn.sock is not None
+        try:
+            try:
+                self._conn.request("POST", self._target, body, headers)
+                response = self._conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                self._conn.close()
+                self._conn.request("POST", self._target, body, headers)
+                response = self._conn.getresponse()
+            return response.status, response.headers, response.read()
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def close(self) -> None:
+        self._conn.close()
+
+
+def _retry_after(value: str | None) -> float:
+    """Seconds a ``Retry-After`` header asks for: its delta-seconds form
+    only, 0 for an HTTP date or anything unparsable."""
+    value = (value or "").strip()
+    return float(value) if re.fullmatch(r"[0-9]+", value) else 0.0
+
+
 def complete(
     config: EndpointConfig,
     prompt: str,
     system: str | None = None,
     sleep=time.sleep,
+    connection: EndpointConnection | None = None,
 ) -> str:
     """One chat completion with retries on transient failures.
 
     Transient: transport errors, HTTP 5xx, 429, malformed response body.
-    Other HTTP errors fail immediately. Exhausting the budget raises
-    EndpointError.
+    A 429 or 503 waits at least its ``Retry-After`` seconds before the
+    next attempt. Other statuses outside 2xx fail immediately; redirects
+    are not followed. Exhausting the budget raises EndpointError.
+
+    The request goes over ``connection`` when given, which stays open for
+    the next call; otherwise over a connection opened and closed here.
     """
-    url = config.base_url.rstrip("/") + "/chat/completions"
     messages = []
     if system is not None:
         messages.append({"role": "system", "content": system})
     messages.append({"role": "user", "content": prompt})
-    payload = {
-        "model": config.model_name,
-        "messages": messages,
-        "temperature": config.temperature,
-        "max_tokens": config.max_output_tokens,
-    }
+    body = json.dumps(
+        {
+            "model": config.model_name,
+            "messages": messages,
+            "temperature": config.temperature,
+            "max_tokens": config.max_output_tokens,
+        }
+    ).encode("utf-8")
     headers = {}
     api_key = os.environ.get(config.api_key_env)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    last_error = "no attempt made"
-    for attempt in range(config.max_retries + 1):
-        if attempt:
-            sleep(config.backoff_seconds * (2 ** (attempt - 1)))
-        try:
-            resp = requests.post(
-                url,
-                json=payload,
-                headers=headers,
-                timeout=config.request_timeout_ms / 1000.0,
-            )
-        except requests.RequestException as err:
-            last_error = f"transport error: {err}"
-            log.debug("attempt %d failed: %s", attempt + 1, last_error)
-            continue
-        if resp.status_code >= 500 or resp.status_code == 429:
-            last_error = f"HTTP {resp.status_code}"
-            log.debug("attempt %d failed: %s", attempt + 1, last_error)
-            continue
-        if resp.status_code >= 400:
-            raise EndpointError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as err:
-            last_error = f"malformed response body: {err}"
-            log.debug("attempt %d failed: %s", attempt + 1, last_error)
-            continue
-    raise EndpointError(f"retries exhausted: {last_error}")
+    conn = EndpointConnection(config) if connection is None else connection
+    try:
+        last_error = "no attempt made"
+        wait = 0.0
+        for attempt in range(config.max_retries + 1):
+            if attempt:
+                sleep(max(config.backoff_seconds * (2 ** (attempt - 1)), wait))
+            wait = 0.0
+            try:
+                status, resp_headers, data = conn.post(body, headers)
+            except (OSError, http.client.HTTPException) as err:
+                last_error = f"transport error: {type(err).__name__}: {err}"
+                log.debug("attempt %d failed: %s", attempt + 1, last_error)
+                continue
+            if status >= 500 or status == 429:
+                last_error = f"HTTP {status}"
+                if status in (429, 503):
+                    wait = _retry_after(resp_headers.get("Retry-After"))
+                log.debug("attempt %d failed: %s", attempt + 1, last_error)
+                continue
+            if not 200 <= status < 300:
+                text = data.decode("utf-8", "replace")
+                raise EndpointError(f"HTTP {status}: {text[:200]}")
+            try:
+                return json.loads(data)["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as err:
+                last_error = f"malformed response body: {err}"
+                log.debug("attempt %d failed: %s", attempt + 1, last_error)
+                continue
+        raise EndpointError(f"retries exhausted: {last_error}")
+    finally:
+        if connection is None:
+            conn.close()
 
 
 _FENCE = re.compile(r"```(?:[A-Za-z0-9_-]+)?\s*\n?(.*?)```", re.DOTALL)
@@ -176,9 +289,16 @@ def run_pipeline(
     if templates is None:
         templates = PromptTemplateSet.load()
 
+    local = threading.local()  # each worker thread's own connection
+    connections: list[EndpointConnection] = []
+
     def ask(system: str, body: str) -> tuple[str, str | None]:
         try:
-            return complete(config, body, system, sleep=sleep), None
+            conn = getattr(local, "conn", None)
+            if conn is None:
+                conn = local.conn = EndpointConnection(config)
+                connections.append(conn)
+            return complete(config, body, system, sleep=sleep, connection=conn), None
         except EndpointError as err:
             return "", str(err)
 
@@ -233,9 +353,13 @@ def run_pipeline(
             error="; ".join(errors) if errors else None,
         )
 
-    with ThreadPoolExecutor(max_workers=config.max_parallel_requests) as pool:
-        futures = [pool.submit(work, ex) for ex in split.examples]
-        traces = [f.result() for f in futures]
+    try:
+        with ThreadPoolExecutor(max_workers=config.max_parallel_requests) as pool:
+            futures = [pool.submit(work, ex) for ex in split.examples]
+            traces = [f.result() for f in futures]
+    finally:
+        for conn in connections:
+            conn.close()
 
     if trace_path is not None:
         write_traces(trace_path, traces)

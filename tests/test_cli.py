@@ -145,6 +145,20 @@ def test_infer_eval_report_flow(fixture_paths, split_file, oracle_answers, tmp_p
     assert "oracle-link" in capsys.readouterr().out
 
 
+def test_infer_rejects_base_url_without_scheme(fixture_paths, split_file, tmp_path, capsys):
+    traces = tmp_path / "traces.jsonl"
+    rc = main(
+        ["infer", *data_args(fixture_paths, split_file),
+         "--mode", "dts",
+         "--base-url", "localhost:8000/v1",
+         "--model", "m",
+         "--out", str(traces)]
+    )
+    assert rc == 2
+    assert "base_url" in capsys.readouterr().err
+    assert not traces.exists()
+
+
 def test_eval_rejects_unknown_metric(fixture_paths, split_file, tmp_path):
     rc = main(
         ["eval", *data_args(fixture_paths, split_file),

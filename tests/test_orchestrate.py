@@ -1,5 +1,13 @@
+import base64
+import contextlib
 import dataclasses
+import gc
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +18,7 @@ from linksql.linker import parse_linker_output
 from linksql.orchestrate import (
     MODES,
     EndpointConfig,
+    EndpointConnection,
     EndpointError,
     complete,
     extract_sql,
@@ -125,6 +134,151 @@ def test_config_validation():
         EndpointConfig(base_url="http://x", model_name="")
     with pytest.raises(ValueError):
         EndpointConfig(base_url="http://x", model_name="m", max_retries=-1)
+
+
+@pytest.mark.parametrize(
+    "base_url",
+    ["localhost:8000/v1", "127.0.0.1:8000", "ftp://host/v1", "http:///v1", "http://host:port/v1"],
+)
+def test_config_rejects_unusable_base_url(base_url):
+    with pytest.raises(ValueError):
+        EndpointConfig(base_url=base_url, model_name="m")
+
+
+@pytest.mark.parametrize(
+    "base_url", ["http://localhost:8000/v1", "https://api.example.com/v1", "http://[::1]:8000"]
+)
+def test_config_accepts_http_and_https(base_url):
+    assert EndpointConfig(base_url=base_url, model_name="m").base_url == base_url
+
+
+@pytest.mark.parametrize(
+    "status,retry_after,waits",
+    [
+        (429, "3", [3.0]),
+        (503, "3", [3.0]),
+        (503, "0", [0.5]),  # never shorter than the backoff
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5]),  # HTTP-date form ignored
+        (503, "soon", [0.5]),
+        (503, "-4", [0.5]),
+        (500, "3", [0.5]),  # only 429 and 503 carry it
+    ],
+)
+def test_retry_after_waits_at_least_the_header(status, retry_after, waits):
+    def script(payload, idx):
+        if idx == 0:
+            return {"status": status, "body": "busy", "headers": {"Retry-After": retry_after}}
+        return {"content": "ok"}
+
+    seen = []
+    with MockEndpoint(script) as ep:
+        assert complete(cfg(ep, backoff_seconds=0.5), "p", sleep=seen.append) == "ok"
+    assert seen == waits
+
+
+def test_redirect_fails_at_once():
+    def script(payload, idx):
+        return {"status": 302, "body": "", "headers": {"Location": "/elsewhere"}}
+
+    with MockEndpoint(script) as ep:
+        with pytest.raises(EndpointError, match="^HTTP 302"):
+            complete(cfg(ep, max_retries=3), "p", sleep=_no_sleep)
+        assert len(ep.requests) == 1
+
+
+def test_timeout_is_a_retried_transport_error():
+    waits = []
+    with MockEndpoint(mockserver.slow(1.0)) as ep:
+        with pytest.raises(EndpointError, match="transport error"):
+            complete(
+                cfg(ep, request_timeout_ms=100, max_retries=1, backoff_seconds=0.5),
+                "p",
+                sleep=waits.append,
+            )
+        assert len(ep.requests) == 2
+    assert waits == [0.5]
+
+
+def test_handed_connection_is_reused_and_left_open():
+    with MockEndpoint(mockserver.constant("ok")) as ep:
+        conn = EndpointConnection(cfg(ep))
+        try:
+            for _ in range(3):
+                assert complete(cfg(ep), "p", sleep=_no_sleep, connection=conn) == "ok"
+            assert ep.connections == 1
+            assert ep.open_connections == 1
+        finally:
+            conn.close()
+        assert ep.wait_closed()
+
+
+@contextlib.contextmanager
+def no_unclosed_sockets():
+    """Fails when a socket opened inside is left for the collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_complete_alone_closes_its_connection():
+    with MockEndpoint(mockserver.constant("ok")) as ep:
+        with no_unclosed_sockets():
+            complete(cfg(ep), "p", sleep=_no_sleep)
+            complete(cfg(ep), "p", sleep=_no_sleep)
+        assert ep.connections == 2
+        assert ep.wait_closed()
+
+
+# -- proxies ---------------------------------------------------------------
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def test_http_proxy_gets_absolute_form_target(no_proxy_env):
+    with MockEndpoint(mockserver.constant("ok")) as proxy:
+        no_proxy_env.setenv("HTTP_PROXY", proxy.base_url.replace("//", "//us%40r:p%3Ass@"))
+        # nothing listens on the target: only the proxy can answer
+        config = EndpointConfig(base_url="http://127.0.0.2:9/v1", model_name="m")
+        assert complete(config, "p", sleep=_no_sleep) == "ok"
+        (req,) = proxy.requests
+    assert req["path"] == "http://127.0.0.2:9/v1/chat/completions"
+    assert req["headers"]["Host"] == "127.0.0.2:9"
+    token = base64.b64encode(b"us@r:p:ss").decode("ascii")
+    assert req["headers"]["Proxy-Authorization"] == f"Basic {token}"
+
+
+def test_no_proxy_bypasses_the_proxy(no_proxy_env):
+    with MockEndpoint(mockserver.constant("proxied")) as proxy, MockEndpoint(
+        mockserver.constant("direct")
+    ) as ep:
+        no_proxy_env.setenv("HTTP_PROXY", proxy.base_url)
+        no_proxy_env.setenv("NO_PROXY", "example.org,127.0.0.1")
+        assert complete(cfg(ep), "p", sleep=_no_sleep) == "direct"
+        assert proxy.requests == []
+        assert ep.requests[0]["path"] == "/chat/completions"
+
+
+def test_https_target_goes_through_a_connect_tunnel(no_proxy_env):
+    with MockEndpoint(mockserver.constant("ok")) as proxy:
+        no_proxy_env.setenv("HTTPS_PROXY", proxy.base_url.replace("//", "//user:secret@"))
+        config = EndpointConfig(
+            base_url="https://127.0.0.2/v1", model_name="m", max_retries=0
+        )
+        with pytest.raises(EndpointError, match="transport error"):
+            complete(config, "p", sleep=_no_sleep)
+        (req,) = proxy.requests
+    assert req["method"] == "CONNECT"
+    assert req["path"] == "127.0.0.2:443"
+    token = base64.b64encode(b"user:secret").decode("ascii")
+    assert req["headers"]["Proxy-Authorization"] == f"Basic {token}"
 
 
 # -- completion post-processing -------------------------------------------
@@ -330,6 +484,41 @@ def test_pipeline_preserves_split_order(split100, catalogs, oracle_answers):
     assert [t.example_id for t in traces] == [e.example_id for e in split100.examples]
 
 
+def test_pipeline_keeps_one_connection_per_worker(split100, catalogs, oracle_answers):
+    split = type(split100)(split100.name, split100.examples[:24], split100.db_root)
+    with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
+        with no_unclosed_sockets():
+            traces = run_pipeline(
+                "dts", split, catalogs, config=cfg(ep, max_parallel_requests=4), sleep=_no_sleep
+            )
+        assert len(ep.requests) == 48
+        assert 1 <= ep.connections <= 4
+        assert ep.wait_closed()
+    assert all(t.error is None for t in traces)
+
+
+def test_pipeline_resends_when_the_server_drops_kept_alive_connections(
+    split100, catalogs, oracle_answers
+):
+    def no_sleep_expected(seconds):
+        raise AssertionError(f"slept {seconds} s")
+
+    split = type(split100)(split100.name, split100.examples[:20], split100.db_root)
+    script = mockserver.scripted_oracle(oracle_answers)
+    with MockEndpoint(script, close_after_response=True) as ep:
+        traces = run_pipeline(
+            "dts",
+            split,
+            catalogs,
+            config=cfg(ep, max_retries=0, max_parallel_requests=2),
+            sleep=no_sleep_expected,
+        )
+        assert ep.connections >= 40
+    for trace, ex in zip(traces, split.examples):
+        assert trace.error is None
+        assert trace.extracted_sql == ex.gold_sql
+
+
 def test_invalid_mode_rejected(split100, catalogs):
     with pytest.raises(ValueError):
         run_pipeline("both", split100, catalogs, config=None)
@@ -373,3 +562,27 @@ def test_write_traces_standalone(tmp_path):
     )
     write_traces(tmp_path / "t.jsonl", [trace])
     assert read_traces(tmp_path / "t.jsonl")[0]["example_id"] == "x:0"
+
+
+# -- dependencies ----------------------------------------------------------
+
+
+def test_package_imports_without_requests():
+    code = (
+        "import sys\n"
+        "sys.modules['requests'] = None\n"
+        "import importlib, pkgutil, linksql\n"
+        "for m in pkgutil.walk_packages(linksql.__path__, 'linksql.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print('ok')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
