@@ -22,16 +22,13 @@ import sqlite3
 import time
 from collections import Counter
 from collections.abc import Mapping
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import DatabaseCatalog
 from .ingest import Split
 from .linker import LinkingSummary, aggregate_linking, score_linking
-from .sqlast import LinkTarget, QueryAst, SqlError, SqlParseError, extract_link_targets, parse_sql
-from .sqlast import exact_set_match as _ast_exact_set_match
-from .sqlast.parser import has_toplevel_order
+from .sqlast import LinkTarget, QueryAst, SqlError, exact_set_match, extract_link_targets, parse_sql
 
 log = logging.getLogger(__name__)
 
@@ -76,35 +73,20 @@ class EvalReport:
 # -- exact set match -------------------------------------------------------
 
 
-def exact_set_match(
-    pred: str,
-    gold: str,
-    catalog: DatabaseCatalog,
-    ignore_values: bool = False,
-) -> bool:
-    matched, _ = em_with_detail(pred, gold, catalog, ignore_values)
-    return matched
-
-
 def em_with_detail(
     pred: str,
-    gold: str,
+    gold_ast: QueryAst,
     catalog: DatabaseCatalog,
     ignore_values: bool = False,
-    *,
-    gold_ast: QueryAst | None = None,
 ) -> tuple[bool, str | None]:
     """(matched, failure kind) — unparseable prediction is a distinct kind.
 
-    ``gold_ast`` is ``gold`` already parsed against ``catalog``; without
-    it the gold query is parsed here."""
-    if gold_ast is None:
-        gold_ast = parse_sql(gold, catalog)
+    ``gold_ast`` is the gold query parsed against ``catalog``."""
     try:
         pred_ast = parse_sql(pred, catalog)
     except SqlError:
         return False, "pred_parse_error"
-    if _ast_exact_set_match(pred_ast, gold_ast, ignore_values):
+    if exact_set_match(pred_ast, gold_ast, ignore_values):
         return True, None
     return False, "component_mismatch"
 
@@ -210,16 +192,6 @@ class ConnectionSet:
         self.close()
 
 
-def _gold_is_ordered(gold: str, gold_ast: QueryAst | None) -> bool:
-    if gold_ast is not None:
-        return gold_ast.has_toplevel_order()
-    try:
-        return has_toplevel_order(gold)
-    except SqlParseError:
-        # gold outside the parse dialect: judge by its text
-        return "order by" in " ".join(gold.lower().split())
-
-
 def _column_views(rows: list[tuple]) -> list[tuple]:
     ncols = len(rows[0])
     return [tuple(r[j] for r in rows) for j in range(ncols)]
@@ -277,48 +249,36 @@ def _tables_equal(pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool)
     return backtrack(0)
 
 
-def execution_accuracy(
-    pred: str,
-    gold: str,
-    db_file: str | Path,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
-) -> bool:
-    matched, _ = ex_with_detail(pred, gold, db_file, timeout_ms)
-    return matched
-
-
 def ex_with_detail(
     pred: str,
     gold: str,
     db_file: str | Path,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    connections: ConnectionSet,
     *,
-    gold_ast: QueryAst | None = None,
-    connections: ConnectionSet | None = None,
+    ordered: bool,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> tuple[bool, str | None]:
     """(matched, failure kind). Gold failures raise GoldExecutionError;
     an unreadable database file is an infrastructure error (OSError).
 
-    ``gold_ast`` supplies the gold query's ordering; without it the gold
-    text is parsed for it. Queries run on ``connections`` when given,
-    otherwise on a connection opened for this call."""
+    Both queries run on ``connections``. ``ordered`` says whether the gold
+    query fixes its row order, which then has to match as well."""
     db_file = Path(db_file)
     if not db_file.is_file():
         raise OSError(f"database file not readable: {db_file}")
-    with nullcontext(connections) if connections is not None else ConnectionSet() as conns:
-        try:
-            gold_rows = conns.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
-        except _Timeout as err:
-            raise GoldExecutionError(f"gold query timed out: {gold!r}") from err
-        except sqlite3.Error as err:
-            raise GoldExecutionError(f"gold query failed: {err}") from err
-        try:
-            pred_rows = conns.run(db_file, pred, time.monotonic() + timeout_ms / 1000.0)
-        except _Timeout:
-            return False, "timeout"
-        except sqlite3.Error:
-            return False, "pred_exec_error"
-    if _tables_equal(pred_rows, gold_rows, _gold_is_ordered(gold, gold_ast)):
+    try:
+        gold_rows = connections.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
+    except _Timeout as err:
+        raise GoldExecutionError(f"gold query timed out: {gold!r}") from err
+    except sqlite3.Error as err:
+        raise GoldExecutionError(f"gold query failed: {err}") from err
+    try:
+        pred_rows = connections.run(db_file, pred, time.monotonic() + timeout_ms / 1000.0)
+    except _Timeout:
+        return False, "timeout"
+    except sqlite3.Error:
+        return False, "pred_exec_error"
+    if _tables_equal(pred_rows, gold_rows, ordered):
         return True, None
     return False, "result_mismatch"
 
@@ -330,25 +290,31 @@ def evaluate_pair(
     example_id: str,
     pred: str,
     gold: str,
+    gold_ast: QueryAst,
     catalog: DatabaseCatalog,
     db_file: str | Path,
+    connections: ConnectionSet,
+    *,
     ignore_values: bool = False,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
-    *,
-    gold_ast: QueryAst | None = None,
-    connections: ConnectionSet | None = None,
 ) -> SqlVerdict:
     """Both metrics for one example. Execution-side failures win the
     failure_kind slot; a prediction our dialect cannot parse but that
     still executes correctly records no failure on the execution side.
 
-    ``gold_ast`` and ``connections`` pass through to em_with_detail and
-    ex_with_detail."""
+    ``gold_ast`` is ``gold`` parsed against ``catalog``; it decides the
+    exact match and whether row order counts. Queries run on
+    ``connections``."""
     t0 = time.monotonic()
-    em, em_kind = em_with_detail(pred, gold, catalog, ignore_values, gold_ast=gold_ast)
+    em, em_kind = em_with_detail(pred, gold_ast, catalog, ignore_values)
     t1 = time.monotonic()
     ex, ex_kind = ex_with_detail(
-        pred, gold, db_file, timeout_ms, gold_ast=gold_ast, connections=connections
+        pred,
+        gold,
+        db_file,
+        connections,
+        ordered=gold_ast.has_toplevel_order(),
+        timeout_ms=timeout_ms,
     )
     t2 = time.monotonic()
     if not ex:
@@ -412,12 +378,12 @@ def evaluate_split(
                     ex.example_id,
                     predictions[ex.example_id],
                     ex.gold_sql,
+                    gold_ast,
                     catalog,
                     ex.db_file,
+                    connections,
                     ignore_values=ignore_values,
                     timeout_ms=timeout_ms,
-                    gold_ast=gold_ast,
-                    connections=connections,
                 )
             except GoldExecutionError:
                 invalid_gold.append(ex.example_id)

@@ -25,7 +25,6 @@ class Example:
 class Split:
     name: str
     examples: tuple[Example, ...]
-    db_root: Path
 
 
 def db_file_for(db_root: str | Path, db_id: str) -> Path:
@@ -45,7 +44,6 @@ def load_split(
     file keeps the example but leaves it execution-ineligible.
     """
     examples_file = Path(examples_file)
-    db_root = Path(db_root)
     split_name = name if name is not None else examples_file.stem
     with examples_file.open("r", encoding="utf-8") as fh:
         records = json.load(fh)
@@ -76,4 +74,4 @@ def load_split(
                 db_file=db_file,
             )
         )
-    return Split(name=split_name, examples=tuple(examples), db_root=db_root)
+    return Split(name=split_name, examples=tuple(examples))

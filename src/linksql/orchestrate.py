@@ -190,7 +190,8 @@ def complete(
 ) -> str:
     """One chat completion with retries on transient failures.
 
-    Transient: transport errors, HTTP 5xx, 429, malformed response body.
+    Transient: transport errors, HTTP 5xx, 429, malformed response body
+    (one whose message content is not a string included).
     A 429 or 503 waits at least its ``Retry-After`` seconds before the
     next attempt. Other statuses outside 2xx fail immediately; redirects
     are not followed. Exhausting the budget raises EndpointError.
@@ -238,7 +239,10 @@ def complete(
                 text = data.decode("utf-8", "replace")
                 raise EndpointError(f"HTTP {status}: {text[:200]}")
             try:
-                return json.loads(data)["choices"][0]["message"]["content"]
+                content = json.loads(data)["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"content is {type(content).__name__}, not str")
+                return content
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 last_error = f"malformed response body: {err}"
                 log.debug("attempt %d failed: %s", attempt + 1, last_error)

@@ -189,7 +189,3 @@ class LinkTarget:
         missing = {t for t, _ in self.columns} - self.tables
         if missing:
             object.__setattr__(self, "tables", self.tables | missing)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.tables and not self.columns

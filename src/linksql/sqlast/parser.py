@@ -10,7 +10,6 @@ canonical table names using the catalog.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from ..catalog import DatabaseCatalog
@@ -33,11 +32,10 @@ from .nodes import (
     Star,
 )
 
-log = logging.getLogger(__name__)
-
 
 class ResolutionError(SqlError):
-    """An identifier in the query does not resolve against the catalog."""
+    """An identifier in the query does not resolve against the catalog,
+    or resolves to more than one FROM entry."""
 
 
 @dataclass(frozen=True)
@@ -537,13 +535,9 @@ class _Resolver:
                 for kind, name in s.order
                 if self.entry_has_column(kind, name, s, col)
             ]
+            if len(matches) > 1:
+                raise ResolutionError(f"ambiguous column name {ref.name!r}")
             if matches:
-                if len(matches) > 1:
-                    log.debug(
-                        "ambiguous column %r: using first FROM table %r",
-                        ref.name,
-                        matches[0][1],
-                    )
                 return ColumnRef(matches[0][1], col)
             s = s.parent
         raise ResolutionError(f"unresolvable column {ref.name!r}")
@@ -608,26 +602,15 @@ def _output_columns(sub: QueryAst, catalog: DatabaseCatalog) -> tuple[str, ...]:
 def parse_sql(query: str, catalog: DatabaseCatalog) -> QueryAst:
     """Parse one SELECT statement and resolve it against the catalog.
 
-    Aliases are substituted by canonical table names and unqualified
-    columns are looked up in FROM order; an unqualified column present in
-    more than one joined table resolves to the earliest table, logged at
-    debug level.
+    Aliases are substituted by canonical table names and an unqualified
+    column resolves to the one FROM entry of the innermost scope that has
+    it. When several entries of that scope have it, the column is
+    ambiguous and rejected, as SQLite rejects it.
 
     Raises SqlParseError (with token position) on lexical or syntax
     errors and ResolutionError when an identifier does not exist in the
-    catalog; both are SqlError.
+    catalog or is ambiguous; both are SqlError.
     """
-    return _Resolver(catalog).resolve_query(_parse_raw(query), None)
-
-
-def has_toplevel_order(query: str) -> bool:
-    """QueryAst.has_toplevel_order for a query text, decided by the raw
-    phase alone, so no catalog is needed. Raises SqlParseError."""
-    raw = _parse_raw(query)
-    return bool(raw.order) or (raw.set_op is not None and bool(raw.set_op[1].order))
-
-
-def _parse_raw(query: str) -> _RawQuery:
     parser = _Parser(tokenize(query))
     raw = parser.parse_query()
     tok = parser.peek()
@@ -636,4 +619,4 @@ def _parse_raw(query: str) -> _RawQuery:
         tok = parser.peek()
     if tok.kind != "END":
         raise SqlParseError(f"unexpected trailing input {tok.value!r}", tok.pos)
-    return raw
+    return _Resolver(catalog).resolve_query(raw, None)

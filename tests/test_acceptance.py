@@ -16,7 +16,7 @@ from fixturedb import SCHEMAS
 from querygen import make_corpus
 
 from linksql.cli import main
-from linksql.evalx import aggregate, evaluate_pair, execution_accuracy
+from linksql.evalx import ConnectionSet, aggregate, evaluate_pair
 from linksql.ingest import db_file_for
 from linksql.linker import score_linking
 from linksql.orchestrate import EndpointConfig, read_traces, run_pipeline
@@ -74,16 +74,19 @@ def test_criterion_1_extraction_oracle(catalogs, corpus, capsys):
 def test_criterion_2_em_implies_ex(catalogs, corpus, fixture_paths, capsys):
     start = time.monotonic()
     em_false = violations = checks = 0
-    for q in corpus:
-        cat = catalogs[q.db_id]
-        if not exact_set_match(parse_sql(q.twin_sql, cat), parse_sql(q.sql, cat)):
-            em_false += 1
-            continue
-        for root in (fixture_paths["db_root_a"], fixture_paths["db_root_b"]):
-            db = db_file_for(root, q.db_id)
-            if not execution_accuracy(q.twin_sql, q.sql, db):
-                violations += 1
-            checks += 1
+    with ConnectionSet() as conns:
+        for q in corpus:
+            cat = catalogs[q.db_id]
+            gold_ast = parse_sql(q.sql, cat)
+            for root in (fixture_paths["db_root_a"], fixture_paths["db_root_b"]):
+                db = db_file_for(root, q.db_id)
+                v = evaluate_pair(q.question, q.twin_sql, q.sql, gold_ast, cat, db, conns)
+                if not v.exact_match:
+                    em_false += 1
+                    continue
+                if not v.execution_match:
+                    violations += 1
+                checks += 1
     elapsed = time.monotonic() - start
     ok = (
         em_false == 0
@@ -151,16 +154,19 @@ def test_criterion_4_oracle_link_upper_bound(
 ):
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline("oracle_link", split100, catalogs, config=_config(ep))
-    verdicts = [
-        evaluate_pair(
-            ex.example_id,
-            trace.extracted_sql,
-            ex.gold_sql,
-            catalogs[ex.db_id],
-            ex.db_file,
-        )
-        for trace, ex in zip(traces, split100.examples)
-    ]
+    with ConnectionSet() as conns:
+        verdicts = [
+            evaluate_pair(
+                ex.example_id,
+                trace.extracted_sql,
+                ex.gold_sql,
+                parse_sql(ex.gold_sql, catalogs[ex.db_id]),
+                catalogs[ex.db_id],
+                ex.db_file,
+                conns,
+            )
+            for trace, ex in zip(traces, split100.examples)
+        ]
     report = aggregate(verdicts, mode="oracle_link")
     ok = report.n == 100 and report.ex_accuracy == 1.0 and report.em_accuracy == 1.0
     _verdict(
@@ -287,18 +293,18 @@ def test_criterion_7_linking_recount(catalogs, corpus, capsys):
     )
 
 
-def test_criterion_8_ordering_semantics(fixture_paths, capsys):
+def test_criterion_8_ordering_semantics(catalogs, fixture_paths, capsys):
+    cat = catalogs["venue_events"]
     db = db_file_for(fixture_paths["db_root_a"], "venue_events")
-    unordered_gold_accepts = execution_accuracy(
-        "SELECT Venue_ID FROM Venue ORDER BY Venue_ID DESC",
-        "SELECT Venue_ID FROM Venue",
-        db,
-    )
-    ordered_gold_rejects = not execution_accuracy(
-        "SELECT Venue_ID FROM Venue ORDER BY Venue_ID DESC",
-        "SELECT Venue_ID FROM Venue ORDER BY Venue_ID ASC",
-        db,
-    )
+    pred = "SELECT Venue_ID FROM Venue ORDER BY Venue_ID DESC"
+
+    def execution_match(gold):
+        with ConnectionSet() as conns:
+            v = evaluate_pair("e", pred, gold, parse_sql(gold, cat), cat, db, conns)
+        return v.execution_match
+
+    unordered_gold_accepts = execution_match("SELECT Venue_ID FROM Venue")
+    ordered_gold_rejects = not execution_match("SELECT Venue_ID FROM Venue ORDER BY Venue_ID ASC")
     ok = unordered_gold_accepts and ordered_gold_rejects
     _verdict(
         capsys,

@@ -1,15 +1,18 @@
 import json
 import sqlite3
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import mockserver
+from mockserver import MockEndpoint
+
 from linksql.evalx import (
     DEFAULT_TIMEOUT_MS,
     FAILURE_KINDS,
+    ConnectionSet,
     EvalReport,
     GoldExecutionError,
     _cell_key,
@@ -18,8 +21,6 @@ from linksql.evalx import (
     evaluate_pair,
     evaluate_split,
     ex_with_detail,
-    exact_set_match,
-    execution_accuracy,
     report_dict,
     report_from_dict,
     report_text,
@@ -27,9 +28,9 @@ from linksql.evalx import (
     write_verdicts,
 )
 from linksql.ingest import Example, Split, db_file_for
+from linksql.orchestrate import EndpointConfig, run_pipeline
+from linksql.promptgen import emit_sft_dataset
 from linksql.sqlast import parse_sql, tokenize
-from linksql.sqlast.lexer import SqlParseError
-from linksql.sqlast.parser import has_toplevel_order
 
 
 @pytest.fixture
@@ -40,6 +41,12 @@ def cat(catalogs):
 @pytest.fixture
 def venue_db(fixture_paths):
     return db_file_for(fixture_paths["db_root_a"], "venue_events")
+
+
+@pytest.fixture
+def conns():
+    with ConnectionSet() as connections:
+        yield connections
 
 
 @pytest.fixture
@@ -61,76 +68,74 @@ def scratch_db(tmp_path):
     return path
 
 
-# -- string-level EM wrapper ----------------------------------------------
+# -- exact set match -------------------------------------------------------
 
 
 def test_em_true_and_false(cat):
-    assert exact_set_match(
-        "SELECT City, Name FROM Venue", "SELECT Name, City FROM Venue", cat
-    )
-    assert not exact_set_match("SELECT City FROM Venue", "SELECT Name FROM Venue", cat)
+    gold = parse_sql("SELECT Name, City FROM Venue", cat)
+    assert em_with_detail("SELECT City, Name FROM Venue", gold, cat) == (True, None)
+    assert not em_with_detail("SELECT City FROM Venue", gold, cat)[0]
 
 
 def test_em_detail_pred_parse_error(cat):
-    matched, kind = em_with_detail("SELEC nonsense", "SELECT Name FROM Venue", cat)
+    gold = parse_sql("SELECT Name FROM Venue", cat)
+    matched, kind = em_with_detail("SELEC nonsense", gold, cat)
     assert not matched and kind == "pred_parse_error"
 
 
 def test_em_detail_component_mismatch(cat):
-    matched, kind = em_with_detail(
-        "SELECT City FROM Venue", "SELECT Name FROM Venue", cat
-    )
+    gold = parse_sql("SELECT Name FROM Venue", cat)
+    matched, kind = em_with_detail("SELECT City FROM Venue", gold, cat)
     assert not matched and kind == "component_mismatch"
-
-
-def test_em_detail_gold_must_parse(cat):
-    with pytest.raises(Exception):
-        em_with_detail("SELECT Name FROM Venue", "totally not sql", cat)
 
 
 # -- execution accuracy ----------------------------------------------------
 
 
-def test_ex_identical_query(venue_db):
-    assert execution_accuracy(
-        "SELECT Name FROM Venue", "SELECT Name FROM Venue", venue_db
+def _ex_match(pred, gold, db, conns, *, ordered):
+    return ex_with_detail(pred, gold, db, conns, ordered=ordered)[0]
+
+
+def test_ex_identical_query(venue_db, conns):
+    assert _ex_match(
+        "SELECT Name FROM Venue", "SELECT Name FROM Venue", venue_db, conns, ordered=False
     )
 
 
-def test_ex_row_multiset_not_set(scratch_db):
+def test_ex_row_multiset_not_set(scratch_db, conns):
     # duplicates matter: c='x' appears twice
-    assert not execution_accuracy("SELECT DISTINCT c FROM t", "SELECT c FROM t", scratch_db)
-
-
-def test_ex_column_order_permutation_accepted(scratch_db):
-    assert execution_accuracy(
-        "SELECT c, a FROM t", "SELECT a, c FROM t", scratch_db
+    assert not _ex_match(
+        "SELECT DISTINCT c FROM t", "SELECT c FROM t", scratch_db, conns, ordered=False
     )
 
 
-def test_ex_column_count_mismatch(scratch_db):
-    assert not execution_accuracy("SELECT a FROM t", "SELECT a, c FROM t", scratch_db)
+def test_ex_column_order_permutation_accepted(scratch_db, conns):
+    assert _ex_match("SELECT c, a FROM t", "SELECT a, c FROM t", scratch_db, conns, ordered=False)
 
 
-def test_ex_null_distinct_from_zero_and_empty(scratch_db):
-    assert not execution_accuracy(
-        "SELECT b FROM t WHERE a = 3", "SELECT 0 WHERE 0", scratch_db
+def test_ex_column_count_mismatch(scratch_db, conns):
+    assert not _ex_match("SELECT a FROM t", "SELECT a, c FROM t", scratch_db, conns, ordered=False)
+
+
+def test_ex_null_distinct_from_zero_and_empty(scratch_db, conns):
+    assert not _ex_match(
+        "SELECT b FROM t WHERE a = 3", "SELECT 0 WHERE 0", scratch_db, conns, ordered=False
     )
-    assert not execution_accuracy("SELECT 0", "SELECT NULL", scratch_db)
-    assert execution_accuracy("SELECT NULL", "SELECT NULL", scratch_db)
+    assert not _ex_match("SELECT 0", "SELECT NULL", scratch_db, conns, ordered=False)
+    assert _ex_match("SELECT NULL", "SELECT NULL", scratch_db, conns, ordered=False)
 
 
-def test_ex_int_float_unify(scratch_db):
-    assert execution_accuracy("SELECT 1", "SELECT 1.0", scratch_db)
-    assert execution_accuracy("SELECT a + 0.0 FROM t WHERE a = 2", "SELECT 2", scratch_db)
+def test_ex_int_float_unify(scratch_db, conns):
+    assert _ex_match("SELECT 1", "SELECT 1.0", scratch_db, conns, ordered=False)
+    assert _ex_match(
+        "SELECT a + 0.0 FROM t WHERE a = 2", "SELECT 2", scratch_db, conns, ordered=False
+    )
 
 
-def test_ex_float_tolerance(scratch_db):
+def test_ex_float_tolerance(scratch_db, conns):
     # differ at the 9th significant digit: same 7-significant-digit key
-    assert execution_accuracy(
-        "SELECT 1.000000001", "SELECT 1.0000000005", scratch_db
-    )
-    assert not execution_accuracy("SELECT 1.001", "SELECT 1.002", scratch_db)
+    assert _ex_match("SELECT 1.000000001", "SELECT 1.0000000005", scratch_db, conns, ordered=False)
+    assert not _ex_match("SELECT 1.001", "SELECT 1.002", scratch_db, conns, ordered=False)
 
 
 _non_integral = st.floats(allow_nan=False, allow_infinity=False).filter(
@@ -160,83 +165,99 @@ def test_cell_key_boundary_is_not_a_tolerance():
     assert _cell_key(x) != _cell_key(y)
 
 
-def test_ex_text_number_distinct(scratch_db):
-    assert not execution_accuracy("SELECT '1'", "SELECT 1", scratch_db)
+def test_ex_text_number_distinct(scratch_db, conns):
+    assert not _ex_match("SELECT '1'", "SELECT 1", scratch_db, conns, ordered=False)
 
 
-def test_ex_unordered_gold_accepts_permuted_rows(scratch_db):
-    assert execution_accuracy(
-        "SELECT c FROM t ORDER BY c DESC", "SELECT c FROM t", scratch_db
+def test_ex_unordered_gold_accepts_permuted_rows(scratch_db, conns):
+    assert _ex_match(
+        "SELECT c FROM t ORDER BY c DESC", "SELECT c FROM t", scratch_db, conns, ordered=False
     )
 
 
-def test_ex_ordered_gold_rejects_permuted_rows(scratch_db):
-    assert not execution_accuracy(
-        "SELECT c FROM t ORDER BY c DESC", "SELECT c FROM t ORDER BY c ASC", scratch_db
+def test_ex_ordered_gold_rejects_permuted_rows(scratch_db, conns):
+    assert not _ex_match(
+        "SELECT c FROM t ORDER BY c DESC",
+        "SELECT c FROM t ORDER BY c ASC",
+        scratch_db,
+        conns,
+        ordered=True,
     )
-    assert execution_accuracy(
-        "SELECT c FROM t ORDER BY c", "SELECT c FROM t ORDER BY c ASC", scratch_db
+    assert _ex_match(
+        "SELECT c FROM t ORDER BY c",
+        "SELECT c FROM t ORDER BY c ASC",
+        scratch_db,
+        conns,
+        ordered=True,
     )
 
 
-def test_ex_order_within_sqlite_dialect_not_ours(scratch_db):
+def test_ex_order_within_sqlite_dialect_not_ours(scratch_db, conns):
     # gold uses syntax outside the supported parse dialect; EX still works
-    assert execution_accuracy(
+    assert _ex_match(
         "SELECT a FROM t WHERE a IS NOT NULL",
         "SELECT a FROM t WHERE a IS NOT NULL",
         scratch_db,
+        conns,
+        ordered=False,
     )
 
 
-def test_ex_pred_error_detail(scratch_db):
-    matched, kind = ex_with_detail("SELECT nope FROM missing", "SELECT 1", scratch_db)
+def test_ex_pred_error_detail(scratch_db, conns):
+    matched, kind = ex_with_detail(
+        "SELECT nope FROM missing", "SELECT 1", scratch_db, conns, ordered=False
+    )
     assert not matched and kind == "pred_exec_error"
 
 
-def test_ex_result_mismatch_detail(scratch_db):
-    matched, kind = ex_with_detail("SELECT 1", "SELECT 2", scratch_db)
+def test_ex_result_mismatch_detail(scratch_db, conns):
+    matched, kind = ex_with_detail("SELECT 1", "SELECT 2", scratch_db, conns, ordered=False)
     assert not matched and kind == "result_mismatch"
 
 
-def test_ex_empty_statement_is_error(scratch_db):
+def test_ex_empty_statement_is_error(scratch_db, conns):
     # sqlite accepts "" as a no-op; it must not match an empty result set
-    matched, kind = ex_with_detail("", "SELECT a FROM t WHERE a > 99", scratch_db)
+    matched, kind = ex_with_detail(
+        "", "SELECT a FROM t WHERE a > 99", scratch_db, conns, ordered=False
+    )
     assert not matched and kind == "pred_exec_error"
 
 
-def test_ex_pred_timeout_detail(scratch_db):
+def test_ex_pred_timeout_detail(scratch_db, conns):
     slow = (
         "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r)"
         " SELECT count(*) FROM r"
     )
     start = time.monotonic()
-    matched, kind = ex_with_detail(slow, "SELECT 1", scratch_db, timeout_ms=200)
+    matched, kind = ex_with_detail(
+        slow, "SELECT 1", scratch_db, conns, ordered=False, timeout_ms=200
+    )
     elapsed = time.monotonic() - start
     assert not matched and kind == "timeout"
     assert elapsed < 5
 
 
-def test_ex_gold_error_raises(scratch_db):
+def test_ex_gold_error_raises(scratch_db, conns):
     with pytest.raises(GoldExecutionError):
-        ex_with_detail("SELECT 1", "SELECT broken FROM missing", scratch_db)
+        ex_with_detail("SELECT 1", "SELECT broken FROM missing", scratch_db, conns, ordered=False)
 
 
-def test_ex_gold_timeout_raises(scratch_db):
+def test_ex_gold_timeout_raises(scratch_db, conns):
     slow = (
         "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r)"
         " SELECT count(*) FROM r"
     )
     with pytest.raises(GoldExecutionError):
-        ex_with_detail("SELECT 1", slow, scratch_db, timeout_ms=200)
+        ex_with_detail("SELECT 1", slow, scratch_db, conns, ordered=False, timeout_ms=200)
 
 
-def test_ex_missing_db_is_infrastructure(tmp_path):
+def test_ex_missing_db_is_infrastructure(tmp_path, conns):
     with pytest.raises(OSError):
-        execution_accuracy("SELECT 1", "SELECT 1", tmp_path / "none.sqlite")
+        ex_with_detail("SELECT 1", "SELECT 1", tmp_path / "none.sqlite", conns, ordered=False)
 
 
-def test_ex_readonly_cannot_mutate(scratch_db):
-    matched, kind = ex_with_detail("DELETE FROM t", "SELECT 1", scratch_db)
+def test_ex_readonly_cannot_mutate(scratch_db, conns):
+    matched, kind = ex_with_detail("DELETE FROM t", "SELECT 1", scratch_db, conns, ordered=False)
     assert not matched and kind == "pred_exec_error"
     conn = sqlite3.connect(scratch_db)
     assert conn.execute("SELECT count(*) FROM t").fetchone()[0] == 4
@@ -246,62 +267,56 @@ def test_ex_readonly_cannot_mutate(scratch_db):
 # -- combined verdicts -----------------------------------------------------
 
 
-def test_evaluate_pair_perfect(cat, venue_db):
-    v = evaluate_pair(
-        "e:0", "SELECT Name FROM Venue", "SELECT Name FROM Venue", cat, venue_db
+@pytest.fixture
+def pair(cat, venue_db, conns):
+    """evaluate_pair on the venue_events database, gold parsed here."""
+    return lambda example_id, pred, gold: evaluate_pair(
+        example_id, pred, gold, parse_sql(gold, cat), cat, venue_db, conns
     )
+
+
+def test_evaluate_pair_perfect(pair):
+    v = pair("e:0", "SELECT Name FROM Venue", "SELECT Name FROM Venue")
     assert v.exact_match and v.execution_match
     assert v.failure_kind is None
     assert set(v.timings) == {"match_ms", "execution_ms"}
     assert all(t >= 0 for t in v.timings.values())
 
 
-def test_evaluate_pair_em_false_ex_true(cat, venue_db):
+def test_evaluate_pair_em_false_ex_true(pair):
     # equivalent but structurally different: EX true, EM component mismatch
-    v = evaluate_pair(
+    v = pair(
         "e:1",
         "SELECT Name FROM Venue WHERE Capacity >= 0 OR Capacity < 0 OR Capacity IS NULL",
         "SELECT Name FROM Venue",
-        cat,
-        venue_db,
     )
     assert v.execution_match and not v.exact_match
     assert v.failure_kind == "pred_parse_error"  # IS NULL is outside the dialect
 
 
-def test_evaluate_pair_component_mismatch_kind(cat, venue_db):
-    v = evaluate_pair(
-        "e:2",
-        "SELECT Name FROM Venue WHERE Capacity > 0",
-        "SELECT Name FROM Venue",
-        cat,
-        venue_db,
-    )
+def test_evaluate_pair_component_mismatch_kind(pair):
+    v = pair("e:2", "SELECT Name FROM Venue WHERE Capacity > 0", "SELECT Name FROM Venue")
     # fixture capacities are all positive so results agree
     assert v.execution_match and not v.exact_match
     assert v.failure_kind == "component_mismatch"
 
 
-def test_evaluate_pair_execution_side_wins(cat, venue_db):
-    v = evaluate_pair(
-        "e:3", "SELECT Name FROM Nowhere", "SELECT Name FROM Venue", cat, venue_db
-    )
+def test_evaluate_pair_execution_side_wins(pair):
+    v = pair("e:3", "SELECT Name FROM Nowhere", "SELECT Name FROM Venue")
     assert not v.execution_match and not v.exact_match
     assert v.failure_kind == "pred_exec_error"
 
 
-def test_evaluate_pair_result_mismatch(cat, venue_db):
-    v = evaluate_pair(
-        "e:4", "SELECT City FROM Venue", "SELECT Name FROM Venue", cat, venue_db
-    )
+def test_evaluate_pair_result_mismatch(pair):
+    v = pair("e:4", "SELECT City FROM Venue", "SELECT Name FROM Venue")
     assert v.failure_kind == "result_mismatch"
     assert v.failure_kind in FAILURE_KINDS
 
 
-def test_aggregate_math(cat, venue_db):
+def test_aggregate_math(pair):
     verdicts = [
-        evaluate_pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue", cat, venue_db),
-        evaluate_pair("b", "SELECT City FROM Venue", "SELECT Name FROM Venue", cat, venue_db),
+        pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
+        pair("b", "SELECT City FROM Venue", "SELECT Name FROM Venue"),
     ]
     report = aggregate(verdicts, mode="full", model_name="m1")
     assert report.n == 2
@@ -315,10 +330,8 @@ def test_aggregate_empty_rejected():
         aggregate([], mode="full")
 
 
-def test_verdict_roundtrip(cat, venue_db, tmp_path):
-    verdicts = [
-        evaluate_pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue", cat, venue_db)
-    ]
+def test_verdict_roundtrip(pair, tmp_path):
+    verdicts = [pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue")]
     out = tmp_path / "verdicts.jsonl"
     write_verdicts(out, verdicts)
     rows = [json.loads(line) for line in out.read_text().splitlines()]
@@ -326,10 +339,10 @@ def test_verdict_roundtrip(cat, venue_db, tmp_path):
     assert rows[0] == verdict_dict(verdicts[0])
 
 
-def test_report_roundtrip_and_text(cat, venue_db):
+def test_report_roundtrip_and_text(pair):
     verdicts = [
-        evaluate_pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue", cat, venue_db),
-        evaluate_pair("b", "SELECT City FROM Venue", "SELECT Name FROM Venue", cat, venue_db),
+        pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
+        pair("b", "SELECT City FROM Venue", "SELECT Name FROM Venue"),
     ]
     report = aggregate(
         verdicts,
@@ -362,7 +375,7 @@ def _split(db_root, rows) -> Split:
         Example(f"t:{i}", f"question {i}", gold, db_id, db_file_for(db_root, db_id))
         for i, (db_id, gold) in enumerate(rows)
     )
-    return Split("t", examples, Path(db_root))
+    return Split("t", examples)
 
 
 def _outcome(v):
@@ -371,18 +384,21 @@ def _outcome(v):
 
 def _fresh(split, catalogs, predictions):
     """Per-example verdicts, each scored on connections of its own."""
-    return [
-        _outcome(
-            evaluate_pair(
+    out = []
+    for ex in split.examples:
+        cat = catalogs[ex.db_id]
+        with ConnectionSet() as conns:
+            v = evaluate_pair(
                 ex.example_id,
                 predictions[ex.example_id],
                 ex.gold_sql,
-                catalogs[ex.db_id],
+                parse_sql(ex.gold_sql, cat),
+                cat,
                 ex.db_file,
+                conns,
             )
-        )
-        for ex in split.examples
-    ]
+        out.append(_outcome(v))
+    return out
 
 
 def _token_scan_order(sql: str) -> bool:
@@ -404,19 +420,19 @@ def test_has_toplevel_order_matches_token_scan(corpus, catalogs):
         for sql in filter(None, (q.sql, q.twin_sql, q.variant_sql)):
             want = _token_scan_order(sql)
             assert parse_sql(sql, catalogs[q.db_id]).has_toplevel_order() == want, sql
-            assert has_toplevel_order(sql) == want, sql
             checked += 1
     assert checked > 2 * len(corpus)
 
 
-def test_ex_ordered_gold_outside_dialect(scratch_db):
-    with pytest.raises(SqlParseError):
-        has_toplevel_order("SELECT a FROM t WHERE a IS NOT NULL ORDER BY a")
-    # the gold's text still decides that row order matters
-    assert not execution_accuracy(
-        "SELECT a FROM t WHERE a IS NOT NULL ORDER BY a DESC",
-        "SELECT a FROM t WHERE a IS NOT NULL ORDER BY a",
-        scratch_db,
+def test_ambiguous_column_fails_em_as_it_fails_ex(cat, venue_db, conns):
+    # venue and artist both carry a name column; SQLite rejects the bare one
+    gold = "SELECT venue.name FROM venue JOIN artist ON venue.venue_id = artist.artist_id"
+    pred = "SELECT name FROM venue JOIN artist ON venue.venue_id = artist.artist_id"
+    gold_ast = parse_sql(gold, cat)
+    assert em_with_detail(pred, gold_ast, cat) == (False, "pred_parse_error")
+    assert ex_with_detail(pred, gold, venue_db, conns, ordered=False) == (
+        False,
+        "pred_exec_error",
     )
 
 
@@ -514,3 +530,39 @@ def test_evaluate_split_cannot_mutate(catalogs, venue_split, venue_db):
     assert report.verdicts[0].failure_kind == "pred_exec_error"
     assert _outcome(report.verdicts[1]) == ("t:1", True, True, None)
     assert count() == before
+
+
+def test_three_jobs_quarantine_the_same_gold(catalogs, venue_split, tmp_path):
+    split = venue_split(
+        "SELECT Name FROM Venue",
+        "SELECT Name FROM Venue WHERE Capacity IS NOT NULL",  # syntax outside the dialect
+        "SELECT City FROM Venue",
+        "SELECT Ghost FROM Venue",  # unknown column
+        "SELECT name FROM venue JOIN artist ON venue.venue_id = artist.artist_id",  # ambiguous
+        "SELECT count(*) FROM Venue",
+    )
+    bad = ["t:1", "t:3", "t:4"]
+
+    manifest = emit_sft_dataset(split.examples, catalogs, "link", tmp_path / "link.jsonl")
+    assert manifest["quarantined"] == bad
+    assert manifest["count"] == 3
+
+    with MockEndpoint(mockserver.constant("SELECT 1")) as ep:
+        config = EndpointConfig(base_url=ep.base_url, model_name="m", max_retries=0)
+        traces = run_pipeline("oracle_link", split, catalogs, config=config)
+    unusable = [
+        t.example_id
+        for t in traces
+        if t.fallback_full_schema
+        and t.error is not None
+        and t.error.startswith("gold SQL unusable for linking")
+    ]
+    assert unusable == bad
+    assert all(t.error is None for t in traces if t.example_id not in bad)
+
+    predictions = {ex.example_id: ex.gold_sql for ex in split.examples}
+    report = evaluate_split("oracle_link", split, catalogs, predictions)
+    assert list(report.quarantined) == bad
+    assert report.n == 3
+    assert [v.example_id for v in report.verdicts] == ["t:0", "t:2", "t:5"]
+    assert report.ex_accuracy == report.em_accuracy == 1.0

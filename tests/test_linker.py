@@ -32,7 +32,7 @@ def _debug_messages(caplog) -> list[str]:
 def test_parse_is_total_on_garbage(cat, caplog):
     caplog.set_level(logging.DEBUG, logger="linksql.linker")
     target = parse_linker_output("I cannot answer that.", cat)
-    assert target.is_empty
+    assert target == LinkTarget()
     assert _debug_messages(caplog)
 
 
@@ -53,7 +53,7 @@ def test_parse_fuzzy_underscore_variants(cat):
         "tables: Shop Order\ncolumns: shop-order.order-id", cat
     )
     # no such table here; dropped with warning
-    assert target.is_empty
+    assert target == LinkTarget()
 
 
 def test_parse_fuzzy_on_matching_schema(catalogs):
@@ -84,13 +84,13 @@ def test_parse_unqualified_column_ambiguous_dropped(cat, caplog):
     caplog.set_level(logging.DEBUG, logger="linksql.linker")
     # Venue and Artist both carry a Name column
     target = parse_linker_output("tables:\ncolumns: name", cat)
-    assert target.is_empty
+    assert target == LinkTarget()
     assert _debug_messages(caplog)
 
 
 def test_parse_empty_lines(cat):
     target = parse_linker_output("tables:\ncolumns:", cat)
-    assert target.is_empty
+    assert target == LinkTarget()
 
 
 def test_column_mention_implies_table(cat):

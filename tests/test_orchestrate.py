@@ -366,7 +366,7 @@ def test_dts_mode_two_stages(split100, catalogs, oracle_answers):
 
 
 def test_dts_garbage_linker_falls_back_to_full_schema(split100, catalogs, oracle_answers):
-    split = type(split100)(split100.name, split100.examples[:6], split100.db_root)
+    split = type(split100)(split100.name, split100.examples[:6])
 
     def script(payload, idx):
         if mockserver.is_linking_prompt(payload):
@@ -392,7 +392,7 @@ def test_dts_garbage_linker_falls_back_to_full_schema(split100, catalogs, oracle
 def test_oracle_link_unusable_gold_falls_back_to_full_schema(split100, catalogs, gold):
     ex = next(e for e in split100.examples if e.db_id == "venue_events")
     ex = dataclasses.replace(ex, gold_sql=gold)
-    split = type(split100)(split100.name, (ex,), split100.db_root)
+    split = type(split100)(split100.name, (ex,))
     cat = catalogs[ex.db_id]
     with MockEndpoint(mockserver.constant("SELECT 1")) as ep:
         (trace,) = run_pipeline(
@@ -416,7 +416,7 @@ def _expected_target(mode, trace, ex, cat):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_trace_link_fields_match_serialized_target(split100, catalogs, oracle_answers, mode):
-    split = type(split100)(split100.name, split100.examples[:12], split100.db_root)
+    split = type(split100)(split100.name, split100.examples[:12])
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(mode, split, catalogs, config=cfg(ep), sleep=_no_sleep)
     for trace, ex in zip(traces, split.examples):
@@ -434,7 +434,7 @@ def test_trace_link_fields_match_serialized_target(split100, catalogs, oracle_an
 def test_trace_link_target_reads_back_written_dts_trace(
     split100, catalogs, oracle_answers, tmp_path
 ):
-    split = type(split100)(split100.name, split100.examples[:12], split100.db_root)
+    split = type(split100)(split100.name, split100.examples[:12])
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(
             "dts",
@@ -452,7 +452,7 @@ def test_trace_link_target_reads_back_written_dts_trace(
 
 
 def test_pipeline_isolates_endpoint_failures(split100, catalogs, oracle_answers):
-    split = type(split100)(split100.name, split100.examples[:10], split100.db_root)
+    split = type(split100)(split100.name, split100.examples[:10])
     failing = {split.examples[3].question, split.examples[7].question}
     script = mockserver.fail_questions(mockserver.scripted_oracle(oracle_answers), failing)
     with MockEndpoint(script) as ep:
@@ -472,6 +472,33 @@ def test_pipeline_isolates_endpoint_failures(split100, catalogs, oracle_answers)
             assert trace.extracted_sql == split.examples[i].gold_sql
 
 
+def test_pipeline_retries_null_content_then_records_it(split100, catalogs, oracle_answers):
+    # servers send "content": null for a tool call
+    split = type(split100)(split100.name, split100.examples[:6])
+    nulled = split.examples[2].question
+    oracle = mockserver.scripted_oracle(oracle_answers)
+
+    def script(payload, idx):
+        if mockserver.extract_question(payload) == nulled:
+            return {"content": None}
+        return oracle(payload, idx)
+
+    with MockEndpoint(script) as ep:
+        traces = run_pipeline(
+            "full", split, catalogs, config=cfg(ep, max_retries=1), sleep=_no_sleep
+        )
+        asked = [r for r in ep.requests if mockserver.extract_question(r["payload"]) == nulled]
+    assert len(asked) == 2  # the first try and one retry
+    assert [t.example_id for t in traces] == [ex.example_id for ex in split.examples]
+    for trace, ex in zip(traces, split.examples):
+        if ex.question == nulled:
+            assert "malformed response body" in trace.error
+            assert trace.stage2_completion == "" and trace.extracted_sql == ""
+        else:
+            assert trace.error is None
+            assert trace.extracted_sql == ex.gold_sql
+
+
 def test_pipeline_preserves_split_order(split100, catalogs, oracle_answers):
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(
@@ -485,7 +512,7 @@ def test_pipeline_preserves_split_order(split100, catalogs, oracle_answers):
 
 
 def test_pipeline_keeps_one_connection_per_worker(split100, catalogs, oracle_answers):
-    split = type(split100)(split100.name, split100.examples[:24], split100.db_root)
+    split = type(split100)(split100.name, split100.examples[:24])
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         with no_unclosed_sockets():
             traces = run_pipeline(
@@ -503,7 +530,7 @@ def test_pipeline_resends_when_the_server_drops_kept_alive_connections(
     def no_sleep_expected(seconds):
         raise AssertionError(f"slept {seconds} s")
 
-    split = type(split100)(split100.name, split100.examples[:20], split100.db_root)
+    split = type(split100)(split100.name, split100.examples[:20])
     script = mockserver.scripted_oracle(oracle_answers)
     with MockEndpoint(script, close_after_response=True) as ep:
         traces = run_pipeline(
@@ -525,7 +552,7 @@ def test_invalid_mode_rejected(split100, catalogs):
 
 
 def test_trace_io_roundtrip(split100, catalogs, oracle_answers, tmp_path):
-    split = type(split100)(split100.name, split100.examples[:4], split100.db_root)
+    split = type(split100)(split100.name, split100.examples[:4])
     fixed = iter(range(1000))
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(

@@ -1,4 +1,3 @@
-import logging
 
 import pytest
 from hypothesis import given, settings
@@ -272,14 +271,32 @@ def test_trailing_semicolon_ok(cat):
     parse_sql("SELECT Name FROM Venue;", cat)
 
 
-def test_ambiguous_unqualified_warns_and_picks_first(cat, caplog):
-    caplog.set_level(logging.DEBUG, logger="linksql.sqlast.parser")
-    # Venue and Artist both have a Name column
+def test_ambiguous_unqualified_is_a_resolution_error(cat):
+    # SQLite rejects each of these with "ambiguous column name"
+    for sql in (
+        # Venue and Artist both have a Name column
+        "SELECT Name FROM Venue JOIN Artist ON Venue.Venue_ID = Artist.Artist_ID",
+        "SELECT Venue.Name FROM Venue JOIN Artist ON Venue.Venue_ID = Artist.Artist_ID"
+        " WHERE Name = 'x'",
+        "SELECT a.City FROM Venue AS a JOIN Venue AS b ON a.Venue_ID = b.Venue_ID"
+        " GROUP BY Name",
+        # Event has no Name, so the outer scope's two are in play
+        "SELECT Venue.Name FROM Venue JOIN Artist ON Venue.Venue_ID = Artist.Artist_ID"
+        " WHERE EXISTS (SELECT Title FROM Event WHERE Name = 'x')",
+    ):
+        with pytest.raises(ResolutionError, match="ambiguous"):
+            parse_sql(sql, cat)
+
+
+def test_unqualified_resolves_in_the_innermost_scope_that_has_it(cat):
+    # Venue and Event both have Venue_ID, but the subquery's scope has one
     ast = parse_sql(
-        "SELECT Name FROM Venue JOIN Artist ON Venue.Venue_ID = Artist.Artist_ID", cat
+        "SELECT Venue.Name FROM Venue JOIN Event ON Venue.Venue_ID = Event.Venue_ID"
+        " WHERE Event.Venue_ID IN (SELECT Venue_ID FROM Venue WHERE Capacity > 100)",
+        cat,
     )
-    assert ast.select_items[0] == ColumnRef("venue", "name")
-    assert any("ambiguous" in r.getMessage().lower() for r in caplog.records)
+    sub = ast.where_tree.rhs
+    assert sub.select_items[0] == ColumnRef("venue", "venue_id")
 
 
 @pytest.mark.parametrize(
