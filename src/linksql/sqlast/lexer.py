@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 
 class SqlError(Exception):
@@ -27,9 +28,11 @@ KEYWORDS = frozenset(
     }
 )
 
-# Token kinds: KW, IDENT, NUM, STR, OP, END
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
+    """One lexeme. kind is KW, IDENT, NUM, STR, OP or END; a keyword's
+    value is lower case, a string's has its quotes and escapes removed."""
+
     kind: str
     value: str
     pos: int
@@ -38,86 +41,59 @@ class Token:
         return self.kind == "KW" and self.value in words
 
 
-_PUNCT2 = ("<=", ">=", "!=", "<>", "==")
-_PUNCT1 = "=<>(),.;*+-/%"
+# One alternative per token kind, tried in order at each position. NUM
+# comes before OP so that ".5" is a number, while a dot before anything but
+# a digit is the qualifier operator. A closing quote must not be followed
+# by the same quote, which would make it half of an escaped pair. BAD takes
+# any other character, so matches cover the text without gaps.
+_TOKEN = re.compile(
+    r"""(?P<SPACE>\s+)
+    |(?P<NUM>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
+    |(?P<WORD>[^\W\d]\w*)
+    |(?P<STR>'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))
+    |(?P<QUOTED>`[^`]*`)
+    |(?P<OP><>|==|[<>!]=|[=<>(),.;*+\-/%])
+    |(?P<BAD>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+_OP_ALIASES = {"<>": "!=", "==": "="}
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated string literal",
+    "`": "unterminated quoted identifier",
+}
+_new = tuple.__new__  # skips NamedTuple's Python-level __new__
 
 
 def tokenize(text: str) -> list[Token]:
+    """Split text into tokens ending with END. A number is Unicode decimal
+    digits; an identifier is a letter or _, then letters, digits or _."""
     tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    append = tokens.append
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SPACE":
             continue
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n:
-                if text[j] == quote:
-                    if j + 1 < n and text[j + 1] == quote:
-                        buf.append(quote)
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            else:
-                raise SqlParseError("unterminated string literal", i)
-            tokens.append(Token("STR", "".join(buf), i))
-            i = j + 1
-            continue
-        if ch == "`":
-            j = text.find("`", i + 1)
-            if j < 0:
-                raise SqlParseError("unterminated quoted identifier", i)
-            tokens.append(Token("IDENT", text[i + 1 : j], i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # A dot followed by a non-digit is a qualifier, not a decimal.
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(Token("NUM", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            lower = word.lower()
+        value = m.group()
+        pos = m.start()
+        if kind == "WORD":
+            lower = value.lower()
             if lower in KEYWORDS:
-                tokens.append(Token("KW", lower, i))
-            else:
-                tokens.append(Token("IDENT", word, i))
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            op = {"<>": "!=", "==": "="}.get(two, two)
-            tokens.append(Token("OP", op, i))
-            i += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("OP", ch, i))
-            i += 1
-            continue
-        raise SqlParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("END", "", n))
+                append(_new(Token, ("KW", lower, pos)))
+                continue
+            # \w also takes numerals such as Ⅷ or ², which start no identifier
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise SqlParseError(f"unexpected character {value[0]!r}", pos)
+            kind = "IDENT"
+        elif kind == "OP":
+            value = _OP_ALIASES.get(value, value)
+        elif kind == "STR":
+            quote = value[0]
+            value = value[1:-1].replace(quote + quote, quote)
+        elif kind == "QUOTED":
+            kind, value = "IDENT", value[1:-1]
+        elif kind == "BAD":
+            raise SqlParseError(_UNTERMINATED.get(value, f"unexpected character {value!r}"), pos)
+        append(_new(Token, (kind, value, pos)))
+    append(_new(Token, ("END", "", len(text))))
     return tokens

@@ -18,6 +18,7 @@ from .nodes import (
     AGGREGATES,
     COMPARE_OPS,
     DERIVED_PREFIX,
+    SET_OPS,
     Agg,
     Arith,
     BoolNode,
@@ -66,12 +67,20 @@ class _RawQuery:
 
 
 class _Parser:
+    """Token cursor. Each token has a tag, the keyword or operator text or
+    else the kind, so one string test asks what comes next."""
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # two more ENDs, so a lookahead of up to two never runs off the end
+        self.tokens = tokens + tokens[-1:] * 2
+        self.tags = [t.value if t.kind in ("KW", "OP") else t.kind for t in self.tokens]
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
+
+    def tag(self, ahead: int = 0) -> str:
+        return self.tags[self.i + ahead]
 
     def take(self) -> Token:
         tok = self.tokens[self.i]
@@ -82,21 +91,11 @@ class _Parser:
     def error(self, message: str) -> SqlParseError:
         return SqlParseError(message, self.peek().pos)
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.take()
-        if not tok.is_kw(word):
-            raise SqlParseError(f"expected {word.upper()}, found {tok.value!r}", tok.pos)
-        return tok
-
-    def expect_op(self, op: str) -> Token:
-        tok = self.take()
-        if tok.kind != "OP" or tok.value != op:
-            raise SqlParseError(f"expected {op!r}, found {tok.value!r}", tok.pos)
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.value in ops
+    def expect(self, tag: str) -> Token:
+        if self.tag() != tag:
+            shown = tag.upper() if tag.isalpha() else repr(tag)
+            raise self.error(f"expected {shown}, found {self.peek().value!r}")
+        return self.take()
 
     def take_ident(self, what: str) -> str:
         tok = self.take()
@@ -108,47 +107,47 @@ class _Parser:
 
     def parse_query(self) -> _RawQuery:
         core = self.parse_core()
-        if self.peek().is_kw("union", "intersect", "except"):
+        if self.tag() in SET_OPS:
             op = self.take().value
             rhs = self.parse_core()
-            if self.peek().is_kw("union", "intersect", "except"):
+            if self.tag() in SET_OPS:
                 raise self.error("chained set operations are not supported")
             core.set_op = (op, rhs)
         return core
 
     def parse_core(self) -> _RawQuery:
-        self.expect_kw("select")
+        self.expect("select")
         q = _RawQuery()
-        if self.peek().is_kw("distinct"):
+        if self.tag() == "distinct":
             self.take()
             q.distinct = True
         q.items.append(self.parse_select_item())
-        while self.at_op(","):
+        while self.tag() == ",":
             self.take()
             q.items.append(self.parse_select_item())
-        self.expect_kw("from")
+        self.expect("from")
         self.parse_from(q)
-        if self.peek().is_kw("where"):
+        if self.tag() == "where":
             self.take()
             q.where = self.parse_bool()
-        if self.peek().is_kw("group"):
+        if self.tag() == "group":
             self.take()
-            self.expect_kw("by")
+            self.expect("by")
             q.group.append(self.parse_group_ref())
-            while self.at_op(","):
+            while self.tag() == ",":
                 self.take()
                 q.group.append(self.parse_group_ref())
-        if self.peek().is_kw("having"):
+        if self.tag() == "having":
             self.take()
             q.having = self.parse_bool()
-        if self.peek().is_kw("order"):
+        if self.tag() == "order":
             self.take()
-            self.expect_kw("by")
+            self.expect("by")
             q.order.append(self.parse_order_item())
-            while self.at_op(","):
+            while self.tag() == ",":
                 self.take()
                 q.order.append(self.parse_order_item())
-        if self.peek().is_kw("limit"):
+        if self.tag() == "limit":
             self.take()
             tok = self.take()
             if tok.kind != "NUM" or not tok.value.isdigit():
@@ -159,28 +158,28 @@ class _Parser:
     def parse_from(self, q: _RawQuery) -> None:
         q.sources.append(self.parse_source())
         while True:
-            if self.at_op(","):
+            if self.tag() == ",":
                 self.take()
                 q.sources.append(self.parse_source())
                 continue
-            if self.peek().is_kw("inner"):
+            if self.tag() == "inner":
                 self.take()
-                self.expect_kw("join")
-            elif self.peek().is_kw("join"):
+                self.expect("join")
+            elif self.tag() == "join":
                 self.take()
             else:
                 break
             src = self.parse_source()
-            if self.peek().is_kw("on"):
+            if self.tag() == "on":
                 self.take()
                 src.on_tree = self.parse_bool()
             q.sources.append(src)
 
     def parse_source(self) -> _RawSource:
-        if self.at_op("("):
+        if self.tag() == "(":
             self.take()
             sub = self.parse_query()
-            self.expect_op(")")
+            self.expect(")")
             alias = self.parse_alias()
             return _RawSource("subquery", sub, alias)
         name = self.take_ident("table name")
@@ -190,23 +189,23 @@ class _Parser:
     _JOIN_MODIFIERS = frozenset({"left", "right", "full", "outer", "cross", "natural"})
 
     def parse_alias(self) -> str | None:
-        if self.peek().is_kw("as"):
+        if self.tag() == "as":
             self.take()
             return self.take_ident("alias")
-        if self.peek().kind == "IDENT":
-            if self.peek().value.lower() in self._JOIN_MODIFIERS and self.peek(1).is_kw("join"):
-                raise self.error(f"unsupported join type {self.peek().value!r}")
+        if self.tag() == "IDENT":
+            word = self.peek().value
+            if word.lower() in self._JOIN_MODIFIERS and self.tag(1) == "join":
+                raise self.error(f"unsupported join type {word!r}")
             return self.take().value
         return None
 
     # -- expressions -------------------------------------------------------
 
     def parse_select_item(self):
-        if self.at_op("*"):
+        if self.tag() == "*":
             self.take()
             return Star(None)
-        if self.peek().kind == "IDENT" and self.peek(1).kind == "OP" and self.peek(1).value == "." \
-                and self.peek(2).kind == "OP" and self.peek(2).value == "*":
+        if self.tag() == "IDENT" and self.tag(1) == "." and self.tag(2) == "*":
             qual = self.take().value
             self.take()
             self.take()
@@ -214,20 +213,17 @@ class _Parser:
         return self.parse_arith()
 
     def _at_agg_call(self) -> bool:
-        tok = self.peek()
-        nxt = self.peek(1)
         return (
-            tok.kind == "IDENT"
-            and tok.value.lower() in AGGREGATES
-            and nxt.kind == "OP"
-            and nxt.value == "("
+            self.tag() == "IDENT"
+            and self.tag(1) == "("
+            and self.peek().value.lower() in AGGREGATES
         )
 
     def parse_arith(self):
         return self._arith_tail(self.parse_term())
 
     def _arith_tail(self, left):
-        while self.at_op("+", "-"):
+        while self.tag() in ("+", "-"):
             op = self.take().value
             left = Arith(op, left, self.parse_term())
         return left
@@ -236,52 +232,50 @@ class _Parser:
         return self._term_tail(self.parse_atom())
 
     def _term_tail(self, left):
-        while self.at_op("*", "/"):
+        while self.tag() in ("*", "/"):
             op = self.take().value
             left = Arith(op, left, self.parse_atom())
         return left
 
     def parse_atom(self):
-        tok = self.peek()
-        if tok.kind == "NUM":
-            self.take()
-            return Literal.number(tok.value)
-        if tok.kind == "STR":
-            self.take()
-            return Literal.string(tok.value)
-        if self.at_op("-") and self.peek(1).kind == "NUM":
+        tag = self.tag()
+        if tag == "NUM":
+            return Literal.number(self.take().value)
+        if tag == "STR":
+            return Literal.string(self.take().value)
+        if tag == "-" and self.tag(1) == "NUM":
             self.take()
             num = self.take()
             return Literal.number("-" + num.value)
-        if self.at_op("("):
-            if self.peek(1).is_kw("select"):
+        if tag == "(":
+            if self.tag(1) == "select":
                 raise self.error("subquery not allowed in this position")
             self.take()
             inner = self.parse_arith()
-            self.expect_op(")")
+            self.expect(")")
             return inner
         if self._at_agg_call():
             func = self.take().value.lower()
-            self.expect_op("(")
+            self.expect("(")
             distinct = False
-            if self.peek().is_kw("distinct"):
+            if self.tag() == "distinct":
                 self.take()
                 distinct = True
-            if self.at_op("*"):
+            if self.tag() == "*":
                 self.take()
                 arg: object = Star(None)
             else:
                 arg = self.parse_arith()
-            self.expect_op(")")
+            self.expect(")")
             return Agg(func, distinct, arg)
-        if tok.kind == "IDENT":
+        if tag == "IDENT":
             name = self.take().value
-            if self.at_op(".") :
+            if self.tag() == ".":
                 self.take()
                 col = self.take_ident("column name")
                 return _RawRef(name, col)
             return _RawRef(None, name)
-        raise self.error(f"unexpected token {tok.value!r} in expression")
+        raise self.error(f"unexpected token {self.peek().value!r} in expression")
 
     def parse_group_ref(self) -> _RawRef:
         expr = self.parse_atom()
@@ -292,7 +286,7 @@ class _Parser:
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_arith()
         direction = "asc"
-        if self.peek().is_kw("asc", "desc"):
+        if self.tag() in ("asc", "desc"):
             direction = self.take().value
         return OrderItem(expr, direction)
 
@@ -300,80 +294,80 @@ class _Parser:
 
     def parse_bool(self):
         children = [self.parse_and_chain()]
-        while self.peek().is_kw("or"):
+        while self.tag() == "or":
             self.take()
             children.append(self.parse_and_chain())
         return children[0] if len(children) == 1 else BoolNode("or", tuple(children))
 
     def parse_and_chain(self):
         children = [self.parse_cond_unit()]
-        while self.peek().is_kw("and"):
+        while self.tag() == "and":
             self.take()
             children.append(self.parse_cond_unit())
         return children[0] if len(children) == 1 else BoolNode("and", tuple(children))
 
     def parse_cond_unit(self):
-        if self.at_op("(") and not self.peek(1).is_kw("select"):
+        if self.tag() == "(" and self.tag(1) != "select":
             self.take()
             inner = self.parse_bool()
-            self.expect_op(")")
+            self.expect(")")
             return inner
         return self.parse_predicate()
 
     def parse_predicate(self) -> Predicate:
-        if self.peek().is_kw("exists"):
+        if self.tag() == "exists":
             self.take()
-            self.expect_op("(")
+            self.expect("(")
             sub = self.parse_query()
-            self.expect_op(")")
+            self.expect(")")
             return Predicate("exists", None, sub)
         lhs = self.parse_arith()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value in COMPARE_OPS:
+        tag = self.tag()
+        if tag in COMPARE_OPS:
             self.take()
-            return Predicate(tok.value, lhs, self.parse_value())
+            return Predicate(tag, lhs, self.parse_value())
         negated = False
-        if tok.is_kw("not"):
+        if tag == "not":
             self.take()
             negated = True
-            tok = self.peek()
-        if tok.is_kw("like"):
+            tag = self.tag()
+        if tag == "like":
             self.take()
             op = "not like" if negated else "like"
             return Predicate(op, lhs, self.parse_value())
-        if tok.is_kw("in"):
+        if tag == "in":
             self.take()
             op = "not in" if negated else "in"
             return Predicate(op, lhs, self.parse_in_rhs())
-        if tok.is_kw("between") and not negated:
+        if tag == "between" and not negated:
             self.take()
             low = self.parse_value(scalar=True)
-            self.expect_kw("and")
+            self.expect("and")
             high = self.parse_value(scalar=True)
             return Predicate("between", lhs, (low, high))
-        raise self.error(f"expected a comparison operator, found {tok.value!r}")
+        raise self.error(f"expected a comparison operator, found {self.peek().value!r}")
 
     def parse_value(self, scalar: bool = False):
-        if self.at_op("(") and self.peek(1).is_kw("select"):
+        if self.tag() == "(" and self.tag(1) == "select":
             if scalar:
                 raise self.error("subquery not allowed as a BETWEEN bound")
             self.take()
             sub = self.parse_query()
-            self.expect_op(")")
+            self.expect(")")
             return sub
         return self.parse_arith()
 
     def parse_in_rhs(self):
-        self.expect_op("(")
-        if self.peek().is_kw("select"):
+        self.expect("(")
+        if self.tag() == "select":
             sub = self.parse_query()
-            self.expect_op(")")
+            self.expect(")")
             return sub
         values = [self._in_literal()]
-        while self.at_op(","):
+        while self.tag() == ",":
             self.take()
             values.append(self._in_literal())
-        self.expect_op(")")
+        self.expect(")")
         return tuple(values)
 
     def _in_literal(self) -> Literal:
@@ -609,14 +603,16 @@ def parse_sql(query: str, catalog: DatabaseCatalog) -> QueryAst:
 
     Raises SqlParseError (with token position) on lexical or syntax
     errors and ResolutionError when an identifier does not exist in the
-    catalog or is ambiguous; both are SqlError.
+    catalog or is ambiguous; both are SqlError. A query nested too deeply
+    for the recursive descent is a SqlParseError at position 0.
     """
     parser = _Parser(tokenize(query))
-    raw = parser.parse_query()
-    tok = parser.peek()
-    if tok.kind == "OP" and tok.value == ";":
-        parser.take()
-        tok = parser.peek()
-    if tok.kind != "END":
-        raise SqlParseError(f"unexpected trailing input {tok.value!r}", tok.pos)
-    return _Resolver(catalog).resolve_query(raw, None)
+    try:
+        raw = parser.parse_query()
+        if parser.tag() == ";":
+            parser.take()
+        if parser.tag() != "END":
+            raise parser.error(f"unexpected trailing input {parser.peek().value!r}")
+        return _Resolver(catalog).resolve_query(raw, None)
+    except RecursionError:
+        raise SqlParseError("query nested too deeply", 0) from None

@@ -185,3 +185,41 @@ def test_infer_custom_template(fixture_paths, split_file, tmp_path):
     assert rc == 0
     first = json.loads(traces.read_text().splitlines()[0])
     assert "CUSTOM CREATE TABLE" in first["stage2_prompt"]
+
+
+def test_eval_scores_predictions_outside_the_dialect(fixture_paths, tmp_path, capsys):
+    # a non-decimal digit and over-deep nesting each once aborted the whole run
+    preds = [
+        "SELECT Name FROM Venue",
+        "SELECT ² FROM Venue",
+        "SELECT Name FROM Venue WHERE " + "(" * 2000 + "Capacity > 1" + ")" * 2000,
+    ]
+    examples = tmp_path / "dev.json"
+    examples.write_text(
+        json.dumps(
+            [{"question": f"q{i}", "query": "SELECT Name FROM Venue", "db_id": "venue_events"}
+             for i in range(len(preds))]
+        ),
+        encoding="utf-8",
+    )
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(
+        "".join(
+            json.dumps({"example_id": f"dev:{i}", "mode": "full", "extracted_sql": p}) + "\n"
+            for i, p in enumerate(preds)
+        ),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "scores"
+    rc = main(
+        ["eval", *data_args(fixture_paths, examples),
+         "--traces", str(traces),
+         "--metrics", "ex,em",
+         "--out-dir", str(out_dir)]
+    )
+    assert rc == 0, capsys.readouterr().err
+    verdicts = [json.loads(line) for line in (out_dir / "verdicts.jsonl").read_text().splitlines()]
+    assert [v["exact_match"] for v in verdicts] == [True, False, False]
+    # SQLite rejects both too, and the execution side names the failure
+    assert [v["failure_kind"] for v in verdicts] == [None, "pred_exec_error", "pred_exec_error"]
+    assert json.loads((out_dir / "report.json").read_text())["n"] == 3

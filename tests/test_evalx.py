@@ -79,8 +79,13 @@ def test_em_true_and_false(cat):
 
 def test_em_detail_pred_parse_error(cat):
     gold = parse_sql("SELECT Name FROM Venue", cat)
-    matched, kind = em_with_detail("SELEC nonsense", gold, cat)
-    assert not matched and kind == "pred_parse_error"
+    for pred in (
+        "SELEC nonsense",
+        "SELECT ² FROM Venue",  # a digit, but not a decimal one
+        "SELECT Name FROM Venue WHERE " + "(" * 2000 + "Capacity > 1" + ")" * 2000,
+    ):
+        matched, kind = em_with_detail(pred, gold, cat)
+        assert not matched and kind == "pred_parse_error", pred[:40]
 
 
 def test_em_detail_component_mismatch(cat):
@@ -540,8 +545,10 @@ def test_three_jobs_quarantine_the_same_gold(catalogs, venue_split, tmp_path):
         "SELECT Ghost FROM Venue",  # unknown column
         "SELECT name FROM venue JOIN artist ON venue.venue_id = artist.artist_id",  # ambiguous
         "SELECT count(*) FROM Venue",
+        "SELECT Name FROM Venue LIMIT ²",  # a digit, but not a decimal one
+        "SELECT * FROM " + "(SELECT * FROM " * 2000 + "Venue" + ")" * 2000,  # nested too deeply
     )
-    bad = ["t:1", "t:3", "t:4"]
+    bad = ["t:1", "t:3", "t:4", "t:6", "t:7"]
 
     manifest = emit_sft_dataset(split.examples, catalogs, "link", tmp_path / "link.jsonl")
     assert manifest["quarantined"] == bad

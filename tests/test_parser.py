@@ -11,6 +11,7 @@ from linksql.sqlast import (
     JoinPair,
     Literal,
     Predicate,
+    QueryAst,
     ResolutionError,
     SqlError,
     SqlParseError,
@@ -316,11 +317,36 @@ def test_unqualified_resolves_in_the_innermost_scope_that_has_it(cat):
         "SELECT Name FROM Venue WHERE City IS NULL",
         "SELECT Name FROM Venue WHERE Capacity NOT BETWEEN 1 AND 2",
         "SELECT Name FROM (SELECT City FROM Venue",
+        "SELECT ² FROM Venue",  # a digit, but not a decimal one
+        "SELECT Name FROM Venue LIMIT ²",
     ],
 )
 def test_syntax_rejected(cat, sql):
     with pytest.raises(SqlParseError):
         parse_sql(sql, cat)
+
+
+# position: (head, opening, innermost, closing, tail)
+_NESTING = {
+    "value": ("SELECT ", "(", "1", ")", " FROM Venue"),
+    "condition": ("SELECT Name FROM Venue WHERE ", "(", "Capacity > 1", ")", ""),
+    "from": ("SELECT * FROM ", "(SELECT * FROM ", "Venue", ")", ""),
+}
+
+
+def _nested(position: str, depth: int, inner: str | None = None) -> str:
+    head, opening, innermost, closing, tail = _NESTING[position]
+    inner = innermost if inner is None else inner
+    return head + opening * depth + inner + closing * depth + tail
+
+
+@pytest.mark.parametrize("position", list(_NESTING))
+def test_deep_nesting_is_a_parse_error(cat, position):
+    parse_sql(_nested(position, 20), cat)
+    with pytest.raises(SqlParseError) as info:
+        parse_sql(_nested(position, 2000), cat)
+    assert str(info.value) == "query nested too deeply (at position 0)"
+    assert info.value.pos == 0
 
 
 @pytest.mark.parametrize(
@@ -384,3 +410,21 @@ def test_string_literals_roundtrip(catalogs, s):
     assert ast.where_tree.rhs == Literal("str", s)
     again = parse_sql(render_sql(ast), cat)
     assert exact_set_match(ast, again)
+
+
+_NESTED_TEXT = st.builds(
+    _nested,
+    st.sampled_from(sorted(_NESTING)),
+    st.integers(min_value=0, max_value=2500),
+    st.none() | st.text(max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sql=st.text() | _NESTED_TEXT)
+def test_parse_sql_returns_an_ast_or_raises_sql_error(catalogs, sql):
+    try:
+        ast = parse_sql(sql, catalogs["venue_events"])
+    except SqlError:
+        return
+    assert isinstance(ast, QueryAst)
