@@ -157,8 +157,15 @@ def _cmd_eval(args) -> int:
             f"{args.traces}: no trace for {len(missing)} examples"
             f" (first: {missing[0]})"
         )
+    split_ids = {ex.example_id for ex in split.examples}
+    extra = [ex_id for ex_id in by_id if ex_id not in split_ids]
+    if extra:
+        raise ValueError(
+            f"{args.traces}: {len(extra)} traces for examples not in the split"
+            f" (first: {extra[0]})"
+        )
     report = evalx.evaluate_split(
-        traces[0].get("mode", "dts"),
+        traces[0]["mode"],
         split,
         catalogs,
         {ex_id: t.get("extracted_sql", "") for ex_id, t in by_id.items()},

@@ -394,12 +394,37 @@ def write_traces(path: str | Path, traces) -> None:
 
 
 def read_traces(path: str | Path) -> list[dict]:
-    out = []
+    """The rows of a trace file: one per example, all of one mode.
+
+    Raises ValueError, naming the file and line, on a row that is not a
+    JSON object with a string ``example_id``, on a mode outside MODES or
+    unlike the first row's, and on a second row for one example.
+    """
+    out: list[dict] = []
+    seen: set[str] = set()
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{where}: {err}") from None
+            if not isinstance(row, dict) or not isinstance(row.get("example_id"), str):
+                raise ValueError(f"{where}: not a trace object with a string example_id")
+            mode = row.get("mode")
+            if mode not in MODES:
+                raise ValueError(f"{where}: mode {mode!r} is not one of {', '.join(MODES)}")
+            if out and mode != out[0]["mode"]:
+                raise ValueError(
+                    f"{where}: mode {mode!r} differs from the first row's {out[0]['mode']!r}"
+                )
+            if row["example_id"] in seen:
+                raise ValueError(f"{where}: a second trace for {row['example_id']}")
+            seen.add(row["example_id"])
+            out.append(row)
     return out
 
 

@@ -6,10 +6,20 @@ standard aggregates, BETWEEN / IN / LIKE / EXISTS, and arithmetic in value
 positions. Parsing happens in two phases: a raw phase that keeps aliases
 and unqualified names as written, and a resolution phase that substitutes
 canonical table names using the catalog.
+
+Resolution binds each FROM entry's alias (else its table name or its
+positional ``#sqN`` name) to ``(name, columns)``: the canonical name and
+the column names the entry exposes, the catalog's for a table and the
+select list for a derived table. Each FROM clause is one dict of a
+``ChainMap``, innermost first: a WHERE or HAVING subquery extends the
+enclosing chain, a FROM subquery starts a new one, and a set operator's
+right-hand side shares its left side's.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from ..catalog import DatabaseCatalog
@@ -47,8 +57,7 @@ class _RawRef:
 
 @dataclass
 class _RawSource:
-    kind: str  # "table" | "subquery"
-    target: object  # table name string | _RawQuery
+    target: str | _RawQuery  # table name or FROM subquery
     alias: str | None
     on_tree: object | None = None  # raw bool tree from this join's ON clause
 
@@ -181,10 +190,10 @@ class _Parser:
             sub = self.parse_query()
             self.expect(")")
             alias = self.parse_alias()
-            return _RawSource("subquery", sub, alias)
+            return _RawSource(sub, alias)
         name = self.take_ident("table name")
         alias = self.parse_alias()
-        return _RawSource("table", name, alias)
+        return _RawSource(name, alias)
 
     _JOIN_MODIFIERS = frozenset({"left", "right", "full", "outer", "cross", "natural"})
 
@@ -212,26 +221,15 @@ class _Parser:
             return Star(qual)
         return self.parse_arith()
 
-    def _at_agg_call(self) -> bool:
-        return (
-            self.tag() == "IDENT"
-            and self.tag(1) == "("
-            and self.peek().value.lower() in AGGREGATES
-        )
-
     def parse_arith(self):
-        return self._arith_tail(self.parse_term())
-
-    def _arith_tail(self, left):
+        left = self.parse_term()
         while self.tag() in ("+", "-"):
             op = self.take().value
             left = Arith(op, left, self.parse_term())
         return left
 
     def parse_term(self):
-        return self._term_tail(self.parse_atom())
-
-    def _term_tail(self, left):
+        left = self.parse_atom()
         while self.tag() in ("*", "/"):
             op = self.take().value
             left = Arith(op, left, self.parse_atom())
@@ -254,7 +252,11 @@ class _Parser:
             inner = self.parse_arith()
             self.expect(")")
             return inner
-        if self._at_agg_call():
+        if (
+            tag == "IDENT"
+            and self.tag(1) == "("
+            and self.peek().value.lower() in AGGREGATES
+        ):
             func = self.take().value.lower()
             self.expect("(")
             distinct = False
@@ -380,50 +382,33 @@ class _Parser:
 # -- resolution ------------------------------------------------------------
 
 
-class _Scope:
-    """One FROM clause's name bindings, chained to the enclosing scope."""
-
-    def __init__(self, parent: "_Scope | None"):
-        self.parent = parent
-        self.aliases: dict[str, tuple[str, str]] = {}  # alias -> (kind, name)
-        self.order: list[tuple[str, str]] = []  # (kind, name) in FROM order
-        self.derived_columns: dict[str, tuple[str, ...]] = {}
-
-    def add(self, alias: str, kind: str, name: str) -> None:
-        if alias in self.aliases:
-            raise ResolutionError(f"duplicate table alias {alias!r}")
-        self.aliases[alias] = (kind, name)
-        self.order.append((kind, name))
-
-
 class _Resolver:
     def __init__(self, catalog: DatabaseCatalog):
         self.catalog = catalog
 
-    def resolve_query(self, raw: _RawQuery, parent: _Scope | None) -> QueryAst:
-        scope = _Scope(parent)
+    def resolve_query(self, raw: _RawQuery, outer: ChainMap) -> QueryAst:
+        bound: dict[str, tuple[str, Collection[str]]] = {}  # alias -> (name, columns)
+        scope = outer.new_child(bound)
         derived: list[DerivedTable] = []
-        from_order: list[str] = []
         for src in raw.sources:
-            if src.kind == "table":
-                norm = str(src.target).strip().lower()
-                if not self.catalog.has_table(norm):
+            if isinstance(src.target, str):
+                name = src.target.strip().lower()
+                if not self.catalog.has_table(name):
                     raise ResolutionError(
                         f"unknown table {src.target!r} in database {self.catalog.db_id!r}"
                     )
-                alias = (src.alias or norm).strip().lower()
-                scope.add(alias, "table", norm)
-                from_order.append(norm)
+                columns = self.catalog.table(name).column_map
             else:
                 # Derived tables resolve in isolation: standard SQL gives a
                 # FROM subquery no access to sibling or outer names.
-                sub_ast = self.resolve_query(src.target, None)
+                sub_ast = self.resolve_query(src.target, ChainMap())
                 name = f"{DERIVED_PREFIX}{len(derived)}"
                 derived.append(DerivedTable(name, sub_ast))
-                alias = (src.alias or name).strip().lower()
-                scope.add(alias, "derived", name)
-                scope.derived_columns[name] = _output_columns(sub_ast, self.catalog)
-                from_order.append(name)
+                columns = _output_columns(sub_ast, self.catalog)
+            alias = (src.alias or name).strip().lower()
+            if alias in bound:
+                raise ResolutionError(f"duplicate table alias {alias!r}")
+            bound[alias] = (name, columns)
 
         join_pairs: set[JoinPair] = set()
         leftovers: list[object] = []
@@ -452,12 +437,12 @@ class _Resolver:
         set_op = None
         if raw.set_op is not None:
             op, rhs_raw = raw.set_op
-            set_op = SetOp(op, self.resolve_query(rhs_raw, parent))
+            set_op = SetOp(op, self.resolve_query(rhs_raw, outer))
 
         return QueryAst(
             select_distinct=raw.distinct,
             select_items=items,
-            from_order=tuple(from_order),
+            from_order=tuple(name for name, _ in bound.values()),
             derived=tuple(derived),
             join_conditions=frozenset(join_pairs),
             where_tree=where,
@@ -468,13 +453,13 @@ class _Resolver:
             set_op=set_op,
         )
 
-    def resolve_expr(self, expr, scope: _Scope):
+    def resolve_expr(self, expr, scope: ChainMap):
         if isinstance(expr, _RawRef):
             return self.resolve_ref(expr, scope)
         if isinstance(expr, Star):
             if expr.table is None:
                 return expr
-            kind, name = self.lookup_qualifier(expr.table, scope)
+            name, _ = self.lookup_qualifier(expr.table, scope)
             return Star(name)
         if isinstance(expr, Literal):
             return expr
@@ -488,55 +473,30 @@ class _Resolver:
             )
         raise TypeError(f"unexpected expression node {expr!r}")
 
-    def lookup_qualifier(self, qualifier: str, scope: _Scope) -> tuple[str, str]:
-        qual = qualifier.strip().lower()
-        s: _Scope | None = scope
-        while s is not None:
-            if qual in s.aliases:
-                return s.aliases[qual]
-            s = s.parent
-        raise ResolutionError(f"unknown table or alias {qualifier!r}")
+    def lookup_qualifier(
+        self, qualifier: str, scope: ChainMap
+    ) -> tuple[str, Collection[str]]:
+        try:
+            return scope[qualifier.strip().lower()]
+        except KeyError:
+            raise ResolutionError(f"unknown table or alias {qualifier!r}") from None
 
-    def entry_has_column(self, kind: str, name: str, scope: _Scope, col: str) -> bool:
-        if kind == "table":
-            return self.catalog.table(name).has_column(col)
-        s: _Scope | None = scope
-        while s is not None:
-            if name in s.derived_columns:
-                return col in s.derived_columns[name]
-            s = s.parent
-        return False
-
-    def resolve_ref(self, ref: _RawRef, scope: _Scope) -> ColumnRef:
+    def resolve_ref(self, ref: _RawRef, scope: ChainMap) -> ColumnRef:
         col = ref.name.strip().lower()
         if ref.qualifier is not None:
-            s: _Scope | None = scope
-            while s is not None:
-                qual = ref.qualifier.strip().lower()
-                if qual in s.aliases:
-                    kind, name = s.aliases[qual]
-                    if self.entry_has_column(kind, name, s, col):
-                        return ColumnRef(name, col)
-                    raise ResolutionError(
-                        f"no column {ref.name!r} in {ref.qualifier!r}"
-                    )
-                s = s.parent
-            raise ResolutionError(f"unknown table or alias {ref.qualifier!r}")
-        s = scope
-        while s is not None:
-            matches = [
-                (kind, name)
-                for kind, name in s.order
-                if self.entry_has_column(kind, name, s, col)
-            ]
+            name, columns = self.lookup_qualifier(ref.qualifier, scope)
+            if col not in columns:
+                raise ResolutionError(f"no column {ref.name!r} in {ref.qualifier!r}")
+            return ColumnRef(name, col)
+        for bound in scope.maps:
+            matches = [name for name, columns in bound.values() if col in columns]
             if len(matches) > 1:
                 raise ResolutionError(f"ambiguous column name {ref.name!r}")
             if matches:
-                return ColumnRef(matches[0][1], col)
-            s = s.parent
+                return ColumnRef(matches[0], col)
         raise ResolutionError(f"unresolvable column {ref.name!r}")
 
-    def resolve_tree(self, tree, scope: _Scope):
+    def resolve_tree(self, tree, scope: ChainMap):
         if isinstance(tree, BoolNode):
             return BoolNode(
                 tree.op, tuple(self.resolve_tree(c, scope) for c in tree.children)
@@ -584,12 +544,11 @@ def _output_columns(sub: QueryAst, catalog: DatabaseCatalog) -> tuple[str, ...]:
         if isinstance(item, ColumnRef):
             out.append(item.column)
         elif isinstance(item, Star):
-            sources = [item.table] if item.table is not None else list(sub.from_order)
-            for t in sources:
+            for t in (item.table,) if item.table is not None else sub.from_order:
                 if t in derived_map:
                     out.extend(_output_columns(derived_map[t], catalog))
-                elif catalog.has_table(t):
-                    out.extend(c.normal_name for c in catalog.table(t).columns)
+                else:
+                    out.extend(catalog.table(t).column_map)
     return tuple(out)
 
 
@@ -613,6 +572,6 @@ def parse_sql(query: str, catalog: DatabaseCatalog) -> QueryAst:
             parser.take()
         if parser.tag() != "END":
             raise parser.error(f"unexpected trailing input {parser.peek().value!r}")
-        return _Resolver(catalog).resolve_query(raw, None)
+        return _Resolver(catalog).resolve_query(raw, ChainMap())
     except RecursionError:
         raise SqlParseError("query nested too deeply", 0) from None

@@ -223,3 +223,60 @@ def test_eval_scores_predictions_outside_the_dialect(fixture_paths, tmp_path, ca
     # SQLite rejects both too, and the execution side names the failure
     assert [v["failure_kind"] for v in verdicts] == [None, "pred_exec_error", "pred_exec_error"]
     assert json.loads((out_dir / "report.json").read_text())["n"] == 3
+
+
+def _trace(i, mode="dts", sql="SELECT Name FROM Venue"):
+    return {"example_id": f"dev:{i}", "mode": mode, "extracted_sql": sql}
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # the last of two rows for one example used to win silently
+        ([_trace(0), _trace(1), _trace(0, sql="SELECT City FROM Venue")],
+         ":3: a second trace for dev:0"),
+        # the report used to take the first row's mode
+        ([_trace(0), _trace(1, "full")],
+         ":2: mode 'full' differs from the first row's 'dts'"),
+        # ... and a row without one used to count as dts
+        ([{"example_id": "dev:0", "extracted_sql": ""}, _trace(1)],
+         ":1: mode None is not one of full, dts, oracle_link"),
+        # rows for examples the split lacks used to be ignored
+        ([_trace(0), _trace(1), _trace(7)],
+         ": 1 traces for examples not in the split (first: dev:7)"),
+        # these used to escape as a KeyError and a TypeError traceback
+        ([_trace(0), {"mode": "dts", "extracted_sql": ""}],
+         ":2: not a trace object with a string example_id"),
+        ([[1, 2], _trace(0)], ":1: not a trace object with a string example_id"),
+        # a row cut short used to be reported without its file or line
+        ([_trace(0), '{"example_id": "dev:1"'],
+         ":2: Expecting ',' delimiter: line 1 column 23 (char 22)"),
+    ],
+    ids=[
+        "duplicate", "mixed-modes", "no-mode", "extra-id", "no-example-id", "not-an-object",
+        "not-json",
+    ],
+)
+def test_eval_rejects_traces_it_cannot_attach(fixture_paths, tmp_path, capsys, rows, message):
+    examples = tmp_path / "dev.json"
+    examples.write_text(
+        json.dumps(
+            [{"question": f"q{i}", "query": "SELECT Name FROM Venue", "db_id": "venue_events"}
+             for i in range(2)]
+        ),
+        encoding="utf-8",
+    )
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(
+        "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in rows),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "scores"
+    rc = main(
+        ["eval", *data_args(fixture_paths, examples),
+         "--traces", str(traces),
+         "--out-dir", str(out_dir)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {traces}{message}\n"
+    assert not out_dir.exists()

@@ -300,6 +300,49 @@ def test_unqualified_resolves_in_the_innermost_scope_that_has_it(cat):
     assert sub.select_items[0] == ColumnRef("venue", "venue_id")
 
 
+def _items(ast):
+    return ast.select_items
+
+
+def _exists_lhs(ast):
+    return ast.where_tree.rhs.where_tree.lhs
+
+
+# Each row is what SQLite 3.40 does with the query on the venue_events
+# database: the error it reports, or the node the name is bound to.
+@pytest.mark.parametrize(
+    "sql, part, expected",
+    [
+        # a derived table exposes its select list, not its source's columns
+        ("SELECT x.City FROM (SELECT Name FROM Venue) AS x", None,
+         "no column 'City' in 'x'"),
+        # ... and `t.*` in that list exposes every column of t
+        ("SELECT s.City FROM (SELECT v.* FROM Venue v) s", _items,
+         (ColumnRef("#sq0", "city"),)),
+        ("SELECT s.* FROM (SELECT v.* FROM Venue v) s", _items, (Star("#sq0"),)),
+        # the inner v shadows the outer one
+        ("SELECT v.Name FROM Venue v"
+         " WHERE EXISTS (SELECT * FROM Event v WHERE v.Title = 'x')",
+         _exists_lhs, ColumnRef("event", "title")),
+        # a FROM subquery sees no outer or sibling names
+        ("SELECT * FROM Venue v, (SELECT v.Name FROM Artist)", None,
+         "unknown table or alias 'v'"),
+        ("SELECT Name FROM (SELECT Name FROM Venue) JOIN (SELECT Name FROM Artist)",
+         None, "ambiguous column name 'Name'"),
+        # an alias hides the table name it stands for
+        ("SELECT Name FROM Venue AS v WHERE Venue.Capacity > 1", None,
+         "unknown table or alias 'Venue'"),
+    ],
+)
+def test_scope_rules(cat, sql, part, expected):
+    if part is None:
+        with pytest.raises(ResolutionError) as info:
+            parse_sql(sql, cat)
+        assert str(info.value) == expected
+    else:
+        assert part(parse_sql(sql, cat)) == expected
+
+
 @pytest.mark.parametrize(
     "sql",
     [
