@@ -14,14 +14,7 @@ from pathlib import Path
 from . import evalx
 from .catalog import CatalogError, attach_samples, load_catalogs
 from .ingest import db_file_for, load_split
-from .orchestrate import (
-    MODES,
-    EndpointConfig,
-    read_traces,
-    run_pipeline,
-    run_summary,
-    trace_link_target,
-)
+from .orchestrate import MODES, EndpointConfig, read_traces, run_pipeline, trace_link_target
 from .promptgen import STAGES, PromptTemplateSet, emit_sft_dataset
 
 
@@ -135,8 +128,8 @@ def _cmd_infer(args) -> int:
     traces = run_pipeline(
         mode, split, catalogs, templates, config, trace_path=args.out
     )
-    summary = run_summary(traces)
-    print(f"traced {summary['n']} examples to {args.out} ({summary['failures']} failures)")
+    failures = sum(t.error is not None for t in traces)
+    print(f"traced {len(traces)} examples to {args.out} ({failures} failures)")
     return 0
 
 
@@ -168,7 +161,7 @@ def _cmd_eval(args) -> int:
         traces[0]["mode"],
         split,
         catalogs,
-        {ex_id: t.get("extracted_sql", "") for ex_id, t in by_id.items()},
+        {ex_id: t["extracted_sql"] for ex_id, t in by_id.items()},
         predicted_links=(
             {ex.example_id: trace_link_target(by_id[ex.example_id]) for ex in split.examples}
             if "link" in metrics
@@ -191,9 +184,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    print(evalx.report_text(evalx.report_from_dict(data)))
+    print(evalx.report_text(evalx.read_report(args.report)))
     return 0
 
 

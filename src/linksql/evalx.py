@@ -22,7 +22,7 @@ import sqlite3
 import time
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .catalog import DatabaseCatalog
@@ -49,6 +49,8 @@ class GoldExecutionError(Exception):
 
 @dataclass(frozen=True)
 class SqlVerdict:
+    """One scored example; its fields, in order, are a ``verdicts.jsonl`` row."""
+
     example_id: str
     exact_match: bool
     execution_match: bool
@@ -58,16 +60,19 @@ class SqlVerdict:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One scored run. Its fields, in this order, are the keys of
+    ``report.json``; ``linking`` is left out when links were not scored."""
+
     mode: str
+    model: str | None
     n: int
     ex_accuracy: float
     em_accuracy: float
-    linking: LinkingSummary | None
+    quarantined: tuple[str, ...]  # gold outside the supported dialect
+    invalid_gold: tuple[str, ...]  # gold failed to execute
+    skipped_no_database: tuple[str, ...]
     verdicts: tuple[SqlVerdict, ...]
-    model_name: str | None = None
-    quarantined: tuple[str, ...] = ()  # gold outside the supported dialect
-    invalid_gold: tuple[str, ...] = ()  # gold failed to execute
-    skipped_no_database: tuple[str, ...] = ()
+    linking: LinkingSummary | None = None
 
 
 # -- exact set match -------------------------------------------------------
@@ -317,22 +322,15 @@ def evaluate_pair(
         timeout_ms=timeout_ms,
     )
     t2 = time.monotonic()
-    if not ex:
-        kind = ex_kind
-    elif not em:
-        kind = em_kind
-    else:
-        kind = None
-    timings = {
-        "match_ms": round((t1 - t0) * 1000.0, 3),
-        "execution_ms": round((t2 - t1) * 1000.0, 3),
-    }
     return SqlVerdict(
         example_id=example_id,
         exact_match=em,
         execution_match=ex,
-        failure_kind=kind,
-        timings=timings,
+        failure_kind=ex_kind or em_kind,  # each is None exactly on its match
+        timings={
+            "match_ms": round((t1 - t0) * 1000.0, 3),
+            "execution_ms": round((t2 - t1) * 1000.0, 3),
+        },
     )
 
 
@@ -422,97 +420,60 @@ def aggregate(
     if not verdicts:
         raise ValueError("cannot aggregate zero verdicts")
     n = len(verdicts)
-    ex_acc = sum(v.execution_match for v in verdicts) / n
-    em_acc = sum(v.exact_match for v in verdicts) / n
     return EvalReport(
         mode=mode,
+        model=model_name,
         n=n,
-        ex_accuracy=ex_acc,
-        em_accuracy=em_acc,
-        linking=linking,
-        verdicts=tuple(verdicts),
-        model_name=model_name,
+        ex_accuracy=sum(v.execution_match for v in verdicts) / n,
+        em_accuracy=sum(v.exact_match for v in verdicts) / n,
         quarantined=tuple(quarantined),
         invalid_gold=tuple(invalid_gold),
         skipped_no_database=tuple(skipped_no_database),
+        verdicts=tuple(verdicts),
+        linking=linking,
     )
-
-
-def verdict_dict(v: SqlVerdict) -> dict:
-    return {
-        "example_id": v.example_id,
-        "exact_match": v.exact_match,
-        "execution_match": v.execution_match,
-        "failure_kind": v.failure_kind,
-        "timings": v.timings,
-    }
 
 
 def write_verdicts(path: str | Path, verdicts) -> None:
+    """One JSON line per verdict: its fields in declaration order."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for v in verdicts:
-            fh.write(json.dumps(verdict_dict(v), ensure_ascii=False) + "\n")
+            fh.write(json.dumps(vars(v), ensure_ascii=False) + "\n")
 
 
 def report_dict(report: EvalReport) -> dict:
-    out = {
-        "mode": report.mode,
-        "model": report.model_name,
-        "n": report.n,
-        "ex_accuracy": report.ex_accuracy,
-        "em_accuracy": report.em_accuracy,
-        "quarantined": list(report.quarantined),
-        "invalid_gold": list(report.invalid_gold),
-        "skipped_no_database": list(report.skipped_no_database),
-        "verdicts": [verdict_dict(v) for v in report.verdicts],
-    }
-    if report.linking is not None:
-        s = report.linking
-        out["linking"] = {
-            "n": s.n,
-            "precision": s.precision,
-            "recall": s.recall,
-            "exact_match_rate": s.exact_match_rate,
-            "tables": list(s.tables),
-            "columns": list(s.columns),
-        }
+    """The object ``report.json`` holds: the report's fields, each verdict's
+    and the linking summary's, in declaration order; ``linking`` only when
+    scored. Nested dicts are the records' own ``vars``: do not mutate them."""
+    out = {**vars(report), "verdicts": [vars(v) for v in report.verdicts]}
+    if report.linking is None:
+        del out["linking"]
+    else:
+        out["linking"] = vars(report.linking)
     return out
 
 
-def report_from_dict(data: dict) -> EvalReport:
-    verdicts = tuple(
-        SqlVerdict(
-            example_id=v["example_id"],
-            exact_match=v["exact_match"],
-            execution_match=v["execution_match"],
-            failure_kind=v.get("failure_kind"),
-            timings=v.get("timings", {}),
+def _record(cls, fields: dict):
+    """A record built from a JSON object of its fields, lists as tuples."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
+
+
+def read_report(path: str | Path) -> EvalReport:
+    """The report in a ``report.json`` that eval wrote.
+
+    Raises ValueError, naming the file, on text that is not JSON and on a
+    missing or unknown key in the report, a verdict or the linking summary.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        report = _record(EvalReport, json.loads(text))
+        return replace(
+            report,
+            verdicts=tuple(_record(SqlVerdict, v) for v in report.verdicts),
+            linking=None if report.linking is None else _record(LinkingSummary, report.linking),
         )
-        for v in data.get("verdicts", [])
-    )
-    linking = None
-    if data.get("linking"):
-        s = data["linking"]
-        linking = LinkingSummary(
-            n=s["n"],
-            precision=s["precision"],
-            recall=s["recall"],
-            exact_match_rate=s["exact_match_rate"],
-            tables=tuple(s["tables"]),
-            columns=tuple(s["columns"]),
-        )
-    return EvalReport(
-        mode=data["mode"],
-        n=data["n"],
-        ex_accuracy=data["ex_accuracy"],
-        em_accuracy=data["em_accuracy"],
-        linking=linking,
-        verdicts=verdicts,
-        model_name=data.get("model"),
-        quarantined=tuple(data.get("quarantined", ())),
-        invalid_gold=tuple(data.get("invalid_gold", ())),
-        skipped_no_database=tuple(data.get("skipped_no_database", ())),
-    )
+    except (ValueError, TypeError, AttributeError) as err:
+        raise ValueError(f"{path}: not a report eval wrote: {err}") from None
 
 
 _MODE_LABELS = {
@@ -526,7 +487,7 @@ def report_text(report: EvalReport) -> str:
     """Aligned table: one row per run, columns Model / Tuning / EX / EM."""
     headers = ("Model", "Tuning", "EX", "EM")
     row = (
-        report.model_name or "-",
+        report.model or "-",
         _MODE_LABELS.get(report.mode, report.mode),
         f"{100.0 * report.ex_accuracy:.1f}",
         f"{100.0 * report.em_accuracy:.1f}",

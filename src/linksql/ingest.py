@@ -39,9 +39,10 @@ def load_split(
 ) -> Split:
     """Read a JSON array of {question, query, db_id} records, in order.
 
-    Extra fields are ignored. Any record naming a db_id without a loaded
-    catalog aborts the load, listing every offender. A missing database
-    file keeps the example but leaves it execution-ineligible.
+    Each record must be an object whose three fields are strings; extra
+    fields are ignored. Any record naming a db_id without a loaded catalog
+    aborts the load, listing every offender. A missing database file keeps
+    the example but leaves it execution-ineligible.
     """
     examples_file = Path(examples_file)
     split_name = name if name is not None else examples_file.stem
@@ -49,18 +50,19 @@ def load_split(
         records = json.load(fh)
     if not isinstance(records, list):
         raise ValueError(f"{examples_file}: expected a JSON array of examples")
-    unknown = sorted(
-        {r.get("db_id") for r in records if r.get("db_id") not in catalogs}
-    )
-    if unknown:
-        raise ValueError(
-            f"{examples_file}: db_ids without catalogs: {', '.join(map(str, unknown))}"
-        )
     examples = []
+    unknown = set()
     for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"{examples_file}: record {i} is not a JSON object")
         for field_name in ("question", "query", "db_id"):
-            if field_name not in rec:
-                raise ValueError(f"{examples_file}: record {i} missing {field_name!r}")
+            if not isinstance(rec.get(field_name), str):
+                raise ValueError(
+                    f"{examples_file}: record {i}: {field_name!r} is missing or not a string"
+                )
+        if rec["db_id"] not in catalogs:
+            unknown.add(rec["db_id"])
+            continue
         db_file = db_file_for(db_root, rec["db_id"])
         if not db_file.is_file():
             log.warning("no database file for %s (%s)", rec["db_id"], db_file)
@@ -74,4 +76,6 @@ def load_split(
                 db_file=db_file,
             )
         )
+    if unknown:
+        raise ValueError(f"{examples_file}: db_ids without catalogs: {', '.join(sorted(unknown))}")
     return Split(name=split_name, examples=tuple(examples))

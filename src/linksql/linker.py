@@ -38,7 +38,8 @@ class LinkingScore:
 
 @dataclass(frozen=True)
 class LinkingSummary:
-    """Macro-averaged corpus scores."""
+    """Macro-averaged corpus scores; its fields, in order, are the keys of
+    ``report.json``'s ``linking``."""
 
     n: int
     precision: float

@@ -84,6 +84,8 @@ class EndpointConfig:
 
 @dataclass(frozen=True)
 class TwoStageTrace:
+    """One example's run; its fields, in order, are a ``traces.jsonl`` row."""
+
     example_id: str
     mode: str
     stage1_prompt: str | None
@@ -370,27 +372,11 @@ def run_pipeline(
     return traces
 
 
-def trace_dict(trace: TwoStageTrace) -> dict:
-    return {
-        "example_id": trace.example_id,
-        "mode": trace.mode,
-        "stage1_prompt": trace.stage1_prompt,
-        "stage1_completion": trace.stage1_completion,
-        "resolved_tables": list(trace.resolved_tables),
-        "resolved_columns": list(trace.resolved_columns),
-        "stage2_prompt": trace.stage2_prompt,
-        "stage2_completion": trace.stage2_completion,
-        "extracted_sql": trace.extracted_sql,
-        "wall_ms": trace.wall_ms,
-        "fallback_full_schema": trace.fallback_full_schema,
-        "error": trace.error,
-    }
-
-
 def write_traces(path: str | Path, traces) -> None:
+    """One JSON line per trace: its fields in declaration order."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for trace in traces:
-            fh.write(json.dumps(trace_dict(trace), ensure_ascii=False) + "\n")
+            fh.write(json.dumps(vars(trace), ensure_ascii=False) + "\n")
 
 
 def read_traces(path: str | Path) -> list[dict]:
@@ -398,7 +384,9 @@ def read_traces(path: str | Path) -> list[dict]:
 
     Raises ValueError, naming the file and line, on a row that is not a
     JSON object with a string ``example_id``, on a mode outside MODES or
-    unlike the first row's, and on a second row for one example.
+    unlike the first row's, on an ``extracted_sql`` that is missing or not
+    a string, on a ``resolved_tables`` or ``resolved_columns`` that is
+    present but not a list of strings, and on a second row for one example.
     """
     out: list[dict] = []
     seen: set[str] = set()
@@ -421,6 +409,12 @@ def read_traces(path: str | Path) -> list[dict]:
                 raise ValueError(
                     f"{where}: mode {mode!r} differs from the first row's {out[0]['mode']!r}"
                 )
+            if not isinstance(row.get("extracted_sql"), str):
+                raise ValueError(f"{where}: extracted_sql is missing or not a string")
+            for key in ("resolved_tables", "resolved_columns"):
+                names = row.get(key, [])
+                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                    raise ValueError(f"{where}: {key} is not a list of strings")
             if row["example_id"] in seen:
                 raise ValueError(f"{where}: a second trace for {row['example_id']}")
             seen.add(row["example_id"])
@@ -435,8 +429,3 @@ def trace_link_target(row: dict) -> LinkTarget:
         tuple(c.split(".", 1)) for c in row.get("resolved_columns", ()) if "." in c
     )
     return LinkTarget(tables, columns)
-
-
-def run_summary(traces) -> dict:
-    failures = sum(1 for t in traces if t.error is not None)
-    return {"n": len(traces), "failures": failures}

@@ -118,7 +118,7 @@ def test_infer_eval_report_flow(fixture_paths, split_file, oracle_answers, tmp_p
              "--max-parallel", "8"]
         )
     assert rc == 0
-    assert "traced 100 examples" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"traced 100 examples to {traces} (0 failures)\n"
     assert traces.is_file()
 
     out_dir = tmp_path / "scores"
@@ -251,10 +251,19 @@ def _trace(i, mode="dts", sql="SELECT Name FROM Venue"):
         # a row cut short used to be reported without its file or line
         ([_trace(0), '{"example_id": "dev:1"'],
          ":2: Expecting ',' delimiter: line 1 column 23 (char 22)"),
+        # these used to escape as TypeError tracebacks from scoring
+        ([_trace(0), _trace(1, sql=None)], ":2: extracted_sql is missing or not a string"),
+        ([_trace(0, sql=7), _trace(1)], ":1: extracted_sql is missing or not a string"),
+        ([{"example_id": "dev:0", "mode": "dts"}, _trace(1)],
+         ":1: extracted_sql is missing or not a string"),
+        ([_trace(0), {**_trace(1), "resolved_columns": ["venue.name", 3]}],
+         ":2: resolved_columns is not a list of strings"),
+        ([{**_trace(0), "resolved_tables": "venue"}, _trace(1)],
+         ":1: resolved_tables is not a list of strings"),
     ],
     ids=[
         "duplicate", "mixed-modes", "no-mode", "extra-id", "no-example-id", "not-an-object",
-        "not-json",
+        "not-json", "null-sql", "number-sql", "no-sql", "number-column", "tables-not-a-list",
     ],
 )
 def test_eval_rejects_traces_it_cannot_attach(fixture_paths, tmp_path, capsys, rows, message):
@@ -280,3 +289,98 @@ def test_eval_rejects_traces_it_cannot_attach(fixture_paths, tmp_path, capsys, r
     assert rc == 2
     assert capsys.readouterr().err == f"error: {traces}{message}\n"
     assert not out_dir.exists()
+
+
+def test_output_files_key_order(fixture_paths, split100, oracle_answers, tmp_path, capsys):
+    # each record's declaration order is the file format; these are the keys
+    # eval and infer have always written
+    examples = tmp_path / "dev.json"
+    examples.write_text(
+        json.dumps(
+            [{"question": e.question, "query": e.gold_sql, "db_id": e.db_id}
+             for e in split100.examples[:6]]
+        ),
+        encoding="utf-8",
+    )
+    traces = tmp_path / "traces.jsonl"
+    failing = {split100.examples[2].question}
+    script = mockserver.fail_questions(mockserver.scripted_oracle(oracle_answers), failing)
+    with MockEndpoint(script) as ep:
+        rc = main(
+            ["infer", *data_args(fixture_paths, examples),
+             "--mode", "dts", "--base-url", ep.base_url, "--model", "m", "--out", str(traces),
+             "--max-retries", "0"]
+        )
+    assert rc == 0
+    assert capsys.readouterr().out == f"traced 6 examples to {traces} (1 failures)\n"
+    for row in map(json.loads, traces.read_text(encoding="utf-8").splitlines()):
+        assert list(row) == [
+            "example_id", "mode", "stage1_prompt", "stage1_completion", "resolved_tables",
+            "resolved_columns", "stage2_prompt", "stage2_completion", "extracted_sql",
+            "wall_ms", "fallback_full_schema", "error",
+        ]
+
+    report_keys = [
+        "mode", "model", "n", "ex_accuracy", "em_accuracy", "quarantined", "invalid_gold",
+        "skipped_no_database", "verdicts",
+    ]
+    verdict_keys = ["example_id", "exact_match", "execution_match", "failure_kind", "timings"]
+    for metrics, linking_keys in (
+        ("ex,em", []),
+        ("ex,em,link", ["linking"]),
+    ):
+        out_dir = tmp_path / metrics
+        rc = main(
+            ["eval", *data_args(fixture_paths, examples),
+             "--traces", str(traces), "--metrics", metrics, "--out-dir", str(out_dir)]
+        )
+        assert rc == 0
+        report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        assert list(report) == report_keys + linking_keys
+        if linking_keys:
+            assert list(report["linking"]) == [
+                "n", "precision", "recall", "exact_match_rate", "tables", "columns",
+            ]
+        rows = (out_dir / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+        for verdict in [*map(json.loads, rows), *report["verdicts"]]:
+            assert list(verdict) == verdict_keys
+            assert list(verdict["timings"]) == ["match_ms", "execution_ms"]
+
+
+_VERDICT = {
+    "example_id": "dev:0", "exact_match": True, "execution_match": True,
+    "failure_kind": None, "timings": {"match_ms": 0.1, "execution_ms": 0.2},
+}
+_REPORT = {
+    "mode": "dts", "model": None, "n": 1, "ex_accuracy": 1.0, "em_accuracy": 1.0,
+    "quarantined": [], "invalid_gold": [], "skipped_no_database": [], "verdicts": [_VERDICT],
+}
+
+
+def test_report_prints_a_stored_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_REPORT), encoding="utf-8")
+    assert main(["report", "--report", str(path)]) == 0
+    assert "two-stage  100.0  100.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        # these used to escape as a KeyError and an AttributeError traceback
+        ({}, "'mode'"),
+        ([], "'list'"),
+        # these used to be read with silent defaults and ignored
+        ({**_REPORT, "verdicts": [{k: v for k, v in _VERDICT.items() if k != "timings"}]},
+         "'timings'"),
+        ({**_REPORT, "suite_ex_accuracy": 1.0}, "'suite_ex_accuracy'"),
+    ],
+    ids=["empty-object", "array", "verdict-without-timings", "unknown-key"],
+)
+def test_report_rejects_a_file_eval_did_not_write(tmp_path, capsys, data, fragment):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["report", "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a report eval wrote: ")
+    assert fragment in err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sqlite3
 import time
@@ -13,21 +14,21 @@ from linksql.evalx import (
     DEFAULT_TIMEOUT_MS,
     FAILURE_KINDS,
     ConnectionSet,
-    EvalReport,
     GoldExecutionError,
+    SqlVerdict,
     _cell_key,
     aggregate,
     em_with_detail,
     evaluate_pair,
     evaluate_split,
     ex_with_detail,
+    read_report,
     report_dict,
-    report_from_dict,
     report_text,
-    verdict_dict,
     write_verdicts,
 )
 from linksql.ingest import Example, Split, db_file_for
+from linksql.linker import LinkingSummary
 from linksql.orchestrate import EndpointConfig, run_pipeline
 from linksql.promptgen import emit_sft_dataset
 from linksql.sqlast import parse_sql, tokenize
@@ -341,10 +342,10 @@ def test_verdict_roundtrip(pair, tmp_path):
     write_verdicts(out, verdicts)
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert rows[0]["example_id"] == "a"
-    assert rows[0] == verdict_dict(verdicts[0])
+    assert [SqlVerdict(**row) for row in rows] == verdicts
 
 
-def test_report_roundtrip_and_text(pair):
+def test_report_roundtrip_and_text(pair, tmp_path):
     verdicts = [
         pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
         pair("b", "SELECT City FROM Venue", "SELECT Name FROM Venue"),
@@ -352,15 +353,15 @@ def test_report_roundtrip_and_text(pair):
     report = aggregate(
         verdicts,
         mode="dts",
+        linking=LinkingSummary(2, 0.75, 0.5, 0.5, (1.0, 1.0, 1.0), (0.25, 0.5, 0.0)),
         model_name="toy-7b",
         quarantined=("q:0",),
         skipped_no_database=("s:1",),
     )
-    data = report_dict(report)
-    back = report_from_dict(json.loads(json.dumps(data)))
-    assert isinstance(back, EvalReport)
-    assert back.ex_accuracy == report.ex_accuracy
-    assert back.quarantined == report.quarantined
+    path = tmp_path / "report.json"
+    for written in (report, dataclasses.replace(report, linking=None)):
+        path.write_text(json.dumps(report_dict(written), indent=2), encoding="utf-8")
+        assert read_report(path) == written
     text = report_text(report)
     assert "toy-7b" in text
     assert "two-stage" in text

@@ -49,10 +49,27 @@ def test_unknown_db_ids_listed(catalogs, fixture_paths, tmp_path):
     assert "ghost_one" in str(exc.value) and "ghost_two" in str(exc.value)
 
 
-def test_missing_field_rejected(catalogs, fixture_paths, tmp_path):
-    records = [{"question": "a", "db_id": "retail"}]
-    with pytest.raises(ValueError):
-        load_split(_write(tmp_path, records), catalogs, fixture_paths["db_root_a"])
+_GOOD = {"question": "a", "query": "SELECT 1", "db_id": "retail"}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"question": "a", "db_id": "retail"}, "record 1: 'query' is missing or not a string"),
+        # these used to escape as an AttributeError and a TypeError from prepare
+        ("SELECT 1", "record 1 is not a JSON object"),
+        ({**_GOOD, "question": 7}, "record 1: 'question' is missing or not a string"),
+        ({**_GOOD, "query": None}, "record 1: 'query' is missing or not a string"),
+        # this used to be reported as "db_ids without catalogs: None"
+        ({"question": "a", "query": "SELECT 1"}, "record 1: 'db_id' is missing or not a string"),
+    ],
+    ids=["no-query", "not-an-object", "number-question", "null-query", "no-db-id"],
+)
+def test_missing_field_rejected(catalogs, fixture_paths, tmp_path, record, message):
+    path = _write(tmp_path, [_GOOD, record])
+    with pytest.raises(ValueError) as exc:
+        load_split(path, catalogs, fixture_paths["db_root_a"])
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_non_array_rejected(catalogs, fixture_paths, tmp_path):
