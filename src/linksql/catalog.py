@@ -6,6 +6,9 @@ given as column-index pairs) and, optionally, live SQLite database files
 from which a few sample rows per table are captured for prompt rendering.
 
 Catalogs are immutable after construction and safe to share across threads.
+A catalog keeps the schema texts rendered from it for its own lifetime;
+derived catalogs (``attach_samples``) start with none. Threads rendering
+one selection at once may each render it, to the same text.
 """
 
 from __future__ import annotations
@@ -100,6 +103,11 @@ class DatabaseCatalog:
         """Normal-form table names in catalog order."""
         return tuple(t.normal_name for t in self.tables)
 
+    @cached_property
+    def rendered_schemas(self) -> dict[frozenset[str], str]:
+        """Schema text per table selection, filled by ``promptgen.render_schema``."""
+        return {}
+
     def table(self, normal_name: str) -> TableDef:
         return self.table_map[normal_name]
 
@@ -117,8 +125,9 @@ def load_catalogs(tables_metadata_file: str | Path) -> list[DatabaseCatalog]:
     pseudo-column at index 0 is dropped; column-index references are
     resolved to names.
 
-    Raises CatalogError on malformed JSON (with file offset) or on any
-    out-of-range index (naming the offending db_id).
+    Raises CatalogError on malformed JSON (with file offset), on any
+    out-of-range index and on a table without columns (naming the
+    offending db_id).
     """
     path = Path(tables_metadata_file)
     try:
@@ -181,6 +190,10 @@ def _build_catalog(entry: dict, path: Path) -> DatabaseCatalog:
         for col_idx in pk if isinstance(pk, list) else [pk]:
             t_idx, cdef = locate(col_idx, "primary key")
             pk_by_table.setdefault(t_idx, set()).add(cdef.normal_name)
+
+    for i, cols in enumerate(per_table):
+        if not cols:
+            raise schema_error(f"table {table_names[i]!r} has no columns")
 
     tables = tuple(
         TableDef(
@@ -271,8 +284,6 @@ def _fetch_samples(
     conn: sqlite3.Connection, table: TableDef, max_rows: int, db_id: str
 ) -> tuple[tuple[str, ...], ...]:
     cols = ", ".join(f'"{c.name}"' for c in table.columns)
-    if not cols:
-        return ()
     base = f'SELECT {cols} FROM "{table.name}"'
     try:
         try:

@@ -132,7 +132,8 @@ class ConnectionSet:
 
     A connection is closed after any query that did more than read, and
     reopened on next use, so every query sees what a fresh connection would
-    show. Each query gets its own deadline. Not thread-safe; close()
+    show. Each query gets its own deadline. Opening a connection to a
+    file that is not there raises OSError. Not thread-safe; close()
     releases everything.
     """
 
@@ -148,6 +149,8 @@ class ConnectionSet:
     def _connection(self, db_file: Path) -> sqlite3.Connection:
         conn = self._open.get(db_file)
         if conn is None:
+            if not db_file.is_file():
+                raise OSError(f"database file not readable: {db_file}")
             conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
             conn.set_authorizer(self._authorize)
             self._open[db_file] = conn
@@ -269,8 +272,6 @@ def ex_with_detail(
     Both queries run on ``connections``. ``ordered`` says whether the gold
     query fixes its row order, which then has to match as well."""
     db_file = Path(db_file)
-    if not db_file.is_file():
-        raise OSError(f"database file not readable: {db_file}")
     try:
         gold_rows = connections.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
     except _Timeout as err:

@@ -41,8 +41,9 @@ def load_split(
 
     Each record must be an object whose three fields are strings; extra
     fields are ignored. Any record naming a db_id without a loaded catalog
-    aborts the load, listing every offender. A missing database file keeps
-    the example but leaves it execution-ineligible.
+    aborts the load, listing every offender. Each db_id's database file is
+    looked up once; a missing one is warned about once and leaves that
+    database's examples execution-ineligible.
     """
     examples_file = Path(examples_file)
     split_name = name if name is not None else examples_file.stem
@@ -52,6 +53,7 @@ def load_split(
         raise ValueError(f"{examples_file}: expected a JSON array of examples")
     examples = []
     unknown = set()
+    db_files: dict[str, Path | None] = {}
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ValueError(f"{examples_file}: record {i} is not a JSON object")
@@ -60,20 +62,23 @@ def load_split(
                 raise ValueError(
                     f"{examples_file}: record {i}: {field_name!r} is missing or not a string"
                 )
-        if rec["db_id"] not in catalogs:
-            unknown.add(rec["db_id"])
+        db_id = rec["db_id"]
+        if db_id not in catalogs:
+            unknown.add(db_id)
             continue
-        db_file = db_file_for(db_root, rec["db_id"])
-        if not db_file.is_file():
-            log.warning("no database file for %s (%s)", rec["db_id"], db_file)
-            db_file = None
+        if db_id not in db_files:
+            db_file = db_file_for(db_root, db_id)
+            if not db_file.is_file():
+                log.warning("no database file for %s (%s)", db_id, db_file)
+                db_file = None
+            db_files[db_id] = db_file
         examples.append(
             Example(
                 example_id=f"{split_name}:{i}",
                 question=rec["question"],
                 gold_sql=rec["query"],
-                db_id=rec["db_id"],
-                db_file=db_file,
+                db_id=db_id,
+                db_file=db_files[db_id],
             )
         )
     if unknown:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -139,9 +140,13 @@ def render_schema(
 
     ``tables`` (normal names) restricts the rendering; foreign keys whose
     other endpoint is outside the selection are omitted so the reduced
-    schema never references an absent table.
+    schema never references an absent table. Each selection is rendered
+    once per catalog and kept in ``catalog.rendered_schemas``.
     """
-    selected = set(catalog.table_names if tables is None else tables)
+    selected = frozenset(catalog.table_names if tables is None else tables)
+    text = catalog.rendered_schemas.get(selected)
+    if text is not None:
+        return text
     blocks = []
     for table in catalog.tables:
         norm = table.normal_name
@@ -153,7 +158,8 @@ def render_schema(
             if fk.from_table == norm and fk.to_table in selected
         )
         blocks.append(render_table(table, fks, catalog))
-    return "\n\n".join(blocks)
+    text = catalog.rendered_schemas[selected] = "\n\n".join(blocks)
+    return text
 
 
 def link_fields(
@@ -190,6 +196,11 @@ def serialize_link_target(target: LinkTarget, catalog: DatabaseCatalog) -> str:
 # -- prompt assembly -------------------------------------------------------
 
 
+# Both placeholders are filled in one pass, so neither value is searched
+# for the other placeholder.
+_PLACEHOLDER = re.compile(r"\{schema\}|\{question\}")
+
+
 def prompt_parts(
     stage: str,
     question: str,
@@ -212,7 +223,8 @@ def prompt_parts(
     else:
         schema = render_schema(catalog)
     tpl = templates.linking_template if stage == "link" else templates.generation_template
-    body = tpl.replace("{schema}", schema).replace("{question}", question)
+    values = {"{schema}": schema, "{question}": question}
+    body = _PLACEHOLDER.sub(lambda m: values[m.group()], tpl)
     return _SYSTEM_PREAMBLES[stage], body
 
 

@@ -113,6 +113,21 @@ def test_foreign_key_out_of_range_column_index(tmp_path):
         load_catalogs(bad)
 
 
+def test_table_without_columns_rejected(tmp_path):
+    entry = {
+        "db_id": "hollow",
+        "table_names_original": ["T", "Empty"],
+        "column_names_original": [[-1, "*"], [0, "A"]],
+        "column_types": ["text", "text"],
+        "primary_keys": [],
+        "foreign_keys": [],
+    }
+    bad = tmp_path / "tables.json"
+    bad.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(CatalogError, match=r"db 'hollow': table 'Empty' has no columns"):
+        load_catalogs(bad)
+
+
 def test_attach_samples_copies(catalogs, fixture_paths):
     cat = catalogs["library"]
     db = db_file_for(fixture_paths["db_root_a"], "library")

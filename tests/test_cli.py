@@ -67,6 +67,31 @@ def test_infra_error_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_table_without_columns_exit_2(tmp_path, capsys):
+    # used to escape render_table as an IndexError traceback (exit 1)
+    tables = tmp_path / "tables.json"
+    tables.write_text(
+        json.dumps([{
+            "db_id": "hollow",
+            "table_names_original": ["T", "Empty"],
+            "column_names_original": [[-1, "*"], [0, "A"]],
+            "column_types": ["text", "text"],
+        }]),
+        encoding="utf-8",
+    )
+    examples = tmp_path / "examples.json"
+    examples.write_text(
+        json.dumps([{"question": "a?", "query": "SELECT A FROM T", "db_id": "hollow"}]),
+        encoding="utf-8",
+    )
+    rc = main(
+        ["prepare", "--tables", str(tables), "--examples", str(examples),
+         "--db-root", str(tmp_path), "--stage", "full", "--out", str(tmp_path / "out.jsonl")]
+    )
+    assert rc == 2
+    assert "db 'hollow': table 'Empty' has no columns" in capsys.readouterr().err
+
+
 def test_prepare_writes_dataset(fixture_paths, split_file, tmp_path, capsys):
     out = tmp_path / "gen.jsonl"
     rc = main(

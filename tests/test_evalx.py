@@ -262,6 +262,23 @@ def test_ex_missing_db_is_infrastructure(tmp_path, conns):
         ex_with_detail("SELECT 1", "SELECT 1", tmp_path / "none.sqlite", conns, ordered=False)
 
 
+def test_opening_a_connection_checks_the_file(scratch_db, conns, tmp_path):
+    query = "SELECT a FROM t"
+    with pytest.raises(OSError, match="not readable"):
+        conns.run(tmp_path / "none.sqlite", query, time.monotonic() + 5)
+    assert ex_with_detail(query, query, scratch_db, conns, ordered=False) == (True, None)
+    scratch_db.rename(tmp_path / "moved.sqlite")
+    # the kept connection is not checked again...
+    assert ex_with_detail(query, query, scratch_db, conns, ordered=False) == (True, None)
+    # ...but a dirty query closes it, and reopening checks the file
+    assert ex_with_detail("DELETE FROM t", query, scratch_db, conns, ordered=False) == (
+        False,
+        "pred_exec_error",
+    )
+    with pytest.raises(OSError, match="not readable"):
+        ex_with_detail(query, query, scratch_db, conns, ordered=False)
+
+
 def test_ex_readonly_cannot_mutate(scratch_db, conns):
     matched, kind = ex_with_detail("DELETE FROM t", "SELECT 1", scratch_db, conns, ordered=False)
     assert not matched and kind == "pred_exec_error"

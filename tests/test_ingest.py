@@ -88,3 +88,31 @@ def test_missing_db_file_kept_with_warning(catalogs, tmp_path, caplog):
     assert len(split.examples) == 1
     assert split.examples[0].db_file is None
     assert any("retail" in r.message for r in caplog.records)
+
+
+def test_missing_db_file_warned_once_per_database(catalogs, tmp_path, caplog):
+    records = [
+        {"question": f"q{i}", "query": "SELECT 1", "db_id": ("retail", "library")[i % 2]}
+        for i in range(10)
+    ]
+    empty_root = tmp_path / "empty_root"
+    empty_root.mkdir()
+    with caplog.at_level(logging.WARNING, logger="linksql.ingest"):
+        split = load_split(_write(tmp_path, records), catalogs, empty_root)
+    assert all(e.db_file is None for e in split.examples)
+    warned = [r.args[0] for r in caplog.records if r.name == "linksql.ingest"]
+    assert sorted(warned) == ["library", "retail"]
+
+
+def test_examples_of_one_database_share_its_db_file(catalogs, fixture_paths, tmp_path):
+    records = [
+        {"question": f"q{i}", "query": "SELECT 1", "db_id": ("retail", "library")[i % 2]}
+        for i in range(10)
+    ]
+    root = fixture_paths["db_root_a"]
+    split = load_split(_write(tmp_path, records), catalogs, root)
+    for db_id in ("retail", "library"):
+        files = [e.db_file for e in split.examples if e.db_id == db_id]
+        assert len(files) == 5
+        assert files[0] == db_file_for(root, db_id)
+        assert all(f is files[0] for f in files)

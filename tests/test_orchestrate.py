@@ -364,6 +364,20 @@ def test_dts_mode_two_stages(split100, catalogs, oracle_answers):
         assert trace.extracted_sql == ex.gold_sql
 
 
+def test_dts_prompts_do_not_depend_on_worker_count(split100, catalogs, oracle_answers):
+    prompts = {}
+    for workers in (1, 4):
+        fresh = {db_id: dataclasses.replace(cat) for db_id, cat in catalogs.items()}
+        with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
+            traces = run_pipeline(
+                "dts", split100, fresh, config=cfg(ep, max_parallel_requests=workers),
+                sleep=_no_sleep,
+            )
+        prompts[workers] = [(t.stage1_prompt, t.stage2_prompt) for t in traces]
+    assert prompts[4] == prompts[1]
+    assert len(set(prompts[1])) > 1
+
+
 def test_dts_garbage_linker_falls_back_to_full_schema(split100, catalogs, oracle_answers):
     split = type(split100)(split100.name, split100.examples[:6])
 

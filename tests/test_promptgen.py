@@ -1,9 +1,16 @@
+import dataclasses
 import hashlib
+import itertools
 import json
+import random
 import re
+import sys
+import threading
 
 import pytest
 
+from linksql.catalog import attach_samples
+from linksql.ingest import db_file_for
 from linksql.promptgen import (
     STAGES,
     PromptTemplateSet,
@@ -75,6 +82,75 @@ def test_render_schema_reduction_drops_cross_fks(catalogs):
     assert 'references "Artist"' in text
 
 
+def _selections(cat):
+    """None and every nonempty subset of the catalog's tables."""
+    names = cat.table_names
+    return [None] + [
+        frozenset(c) for r in range(1, len(names) + 1) for c in itertools.combinations(names, r)
+    ]
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["plain", "sampled"])
+def test_cached_render_equals_a_fresh_render(catalogs, catalogs_sampled, sampled):
+    for cat in (catalogs_sampled if sampled else catalogs).values():
+        for tables in _selections(cat):
+            first = render_schema(cat, tables)
+            assert render_schema(cat, tables) is first
+            assert first == render_schema(dataclasses.replace(cat), tables)
+        assert render_schema(cat, None) is render_schema(cat, set(cat.table_names))
+
+
+def test_concurrent_renders_agree_with_a_fresh_render(catalogs_sampled):
+    cat = catalogs_sampled["venue_events"]
+    want = {t: render_schema(dataclasses.replace(cat), t) for t in _selections(cat)}
+    shared = dataclasses.replace(cat)
+    mismatches = []
+
+    def worker(seed):
+        order = list(want)
+        random.Random(seed).shuffle(order)
+        for tables in order * 3:
+            if render_schema(shared, tables) != want[tables]:
+                mismatches.append(tables)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    assert {t: render_schema(shared, t) for t in want} == want
+
+
+def test_attach_samples_does_not_inherit_rendered_texts(catalogs, fixture_paths):
+    cat = dataclasses.replace(catalogs["library"])
+    plain = render_schema(cat)
+    sampled = attach_samples(cat, db_file_for(fixture_paths["db_root_a"], "library"), 2)
+    text = render_schema(sampled)
+    assert text != plain
+    assert text == render_schema(dataclasses.replace(sampled))
+    for table in sampled.tables:
+        assert "\t".join(table.sample_rows[0]) in text
+
+
+def test_rendering_leaves_equality_and_hash_alone(catalogs_sampled):
+    for cat in catalogs_sampled.values():
+        cat = dataclasses.replace(cat)
+        fresh = dataclasses.replace(cat)
+        before = hash(cat)
+        for tables in _selections(cat):
+            render_schema(cat, tables)
+        assert hash(cat) == before == hash(fresh)
+        assert cat == fresh and fresh == cat
+        assert repr(cat) == repr(fresh)
+
+
 def test_serialize_link_target_catalog_order(catalogs):
     cat = catalogs["venue_events"]
     target = LinkTarget(
@@ -143,6 +219,32 @@ def test_build_prompt_joins_system_and_body(catalogs):
 def test_question_with_braces_survives(catalogs):
     _, body = prompt_parts("full", "what {is} {this}?", catalogs["venue_events"])
     assert "Question: what {is} {this}?" in body
+
+
+def test_placeholder_spelled_in_the_schema_stays_literal(catalogs):
+    cat = catalogs["venue_events"]
+    row = tuple("{question}" for _ in cat.table("venue").columns)
+    cat = dataclasses.replace(
+        cat,
+        tables=tuple(
+            dataclasses.replace(t, sample_rows=(row,)) if t.normal_name == "venue" else t
+            for t in cat.tables
+        ),
+    )
+    question = "Which venues seat more than 500?"
+    for stage in STAGES:
+        selected = frozenset({"venue"}) if stage == "gen" else None
+        _, body = prompt_parts(stage, question, cat, selected)
+        assert body.count(question) == 1
+        assert "\t".join(row) in body
+        assert body.count("{question}") == len(row)
+
+
+def test_placeholder_spelled_in_the_question_stays_literal(catalogs):
+    question = "what does {schema} mean?"
+    _, body = prompt_parts("full", question, catalogs["venue_events"])
+    assert f"Question: {question}" in body
+    assert body.count('CREATE TABLE "Venue"') == 1
 
 
 def test_template_override(tmp_path, catalogs):
