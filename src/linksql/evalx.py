@@ -183,7 +183,7 @@ class ConnectionSet:
             if cursor.description is None:
                 # empty or non-query statement; sqlite accepts it silently
                 raise sqlite3.OperationalError("statement produced no result set")
-            return [tuple(_cell_key(c) for c in row) for row in rows]
+            return [tuple(map(_cell_key, row)) for row in rows]
         finally:
             if self._dirty:
                 self._open.pop(db_file).close()
@@ -205,9 +205,14 @@ def _column_views(rows: list[tuple]) -> list[tuple]:
     return [tuple(r[j] for r in rows) for j in range(ncols)]
 
 
-def _tables_equal(pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool) -> bool:
+def _tables_equal(
+    pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool, deadline: float
+) -> bool:
     """True when some column permutation makes the result tables identical,
-    as sequences when ordered, as multisets otherwise."""
+    as sequences when ordered, as multisets otherwise. Raises _Timeout when
+    ``deadline`` (a ``time.monotonic()`` value) passes during the search."""
+    if pred_rows == gold_rows:
+        return True  # the identity permutation aligns them
     if len(pred_rows) != len(gold_rows):
         return False
     if not gold_rows:
@@ -240,6 +245,8 @@ def _tables_equal(pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool)
         return Counter(permuted) == Counter(gold_rows)
 
     def backtrack(i: int) -> bool:
+        if time.monotonic() > deadline:
+            raise _Timeout()
         if i == ncols:
             return verify()
         k = fill_order[i]
@@ -270,7 +277,10 @@ def ex_with_detail(
     an unreadable database file is an infrastructure error (OSError).
 
     Both queries run on ``connections``. ``ordered`` says whether the gold
-    query fixes its row order, which then has to match as well."""
+    query fixes its row order, which then has to match as well. The
+    prediction's deadline covers both its execution and the search for a
+    column permutation that aligns the two result tables; when it runs
+    out in either, the prediction scores ``timeout``."""
     db_file = Path(db_file)
     try:
         gold_rows = connections.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
@@ -278,15 +288,15 @@ def ex_with_detail(
         raise GoldExecutionError(f"gold query timed out: {gold!r}") from err
     except sqlite3.Error as err:
         raise GoldExecutionError(f"gold query failed: {err}") from err
+    deadline = time.monotonic() + timeout_ms / 1000.0
     try:
-        pred_rows = connections.run(db_file, pred, time.monotonic() + timeout_ms / 1000.0)
+        pred_rows = connections.run(db_file, pred, deadline)
+        matched = _tables_equal(pred_rows, gold_rows, ordered, deadline)
     except _Timeout:
         return False, "timeout"
     except sqlite3.Error:
         return False, "pred_exec_error"
-    if _tables_equal(pred_rows, gold_rows, ordered):
-        return True, None
-    return False, "result_mismatch"
+    return (True, None) if matched else (False, "result_mismatch")
 
 
 # -- combined per-example verdict -----------------------------------------
@@ -309,10 +319,19 @@ def evaluate_pair(
     still executes correctly records no failure on the execution side.
 
     ``gold_ast`` is ``gold`` parsed against ``catalog``; it decides the
-    exact match and whether row order counts. Queries run on
-    ``connections``."""
+    exact match and whether row order counts. A prediction spelled
+    exactly as ``gold`` reuses that parse: it is an exact match without
+    being parsed again, since parsing depends only on the text and the
+    catalog and the match is reflexive. It is still executed, so a query
+    that calls ``random()`` gets the verdict its two runs earn. Result
+    tables that are already equal match without a search over column
+    permutations; a search that does run counts against the prediction's
+    deadline. Queries run on ``connections``."""
     t0 = time.monotonic()
-    em, em_kind = em_with_detail(pred, gold_ast, catalog, ignore_values)
+    if pred == gold:
+        em, em_kind = True, None
+    else:
+        em, em_kind = em_with_detail(pred, gold_ast, catalog, ignore_values)
     t1 = time.monotonic()
     ex, ex_kind = ex_with_detail(
         pred,

@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import json
+import math
 import sqlite3
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +20,7 @@ from linksql.evalx import (
     GoldExecutionError,
     SqlVerdict,
     _cell_key,
+    _tables_equal,
     aggregate,
     em_with_detail,
     evaluate_pair,
@@ -121,6 +125,62 @@ def test_ex_column_order_permutation_accepted(scratch_db, conns):
 
 def test_ex_column_count_mismatch(scratch_db, conns):
     assert not _ex_match("SELECT a FROM t", "SELECT a, c FROM t", scratch_db, conns, ordered=False)
+
+
+def _tables_equal_by_brute_force(pred_rows, gold_rows, ordered):
+    """Reference: try every column permutation of the prediction."""
+    if len(pred_rows) != len(gold_rows):
+        return False
+    if not gold_rows:
+        return True  # no row, so no width to compare
+    ncols = len(gold_rows[0])
+    if len(pred_rows[0]) != ncols:
+        return False
+    for perm in itertools.permutations(range(ncols)):
+        permuted = [tuple(row[j] for j in perm) for row in pred_rows]
+        if permuted == gold_rows if ordered else Counter(permuted) == Counter(gold_rows):
+            return True
+    return False
+
+
+# three cell values, so that equal columns and equal rows are common
+_cells = st.sampled_from((None, 0, "x")).map(_cell_key)
+
+
+def _tables(ncols: int):
+    return st.lists(st.tuples(*[_cells] * ncols), max_size=6)
+
+
+@st.composite
+def _table_pairs(draw):
+    """(pred_rows, gold_rows): gold drawn, pred drawn afresh or derived from
+    gold by shuffling its rows and columns and perhaps changing one cell."""
+    ncols = draw(st.integers(1, 4))
+    gold = draw(_tables(ncols))
+    how = draw(st.sampled_from(("drawn", "identical", "rows", "columns", "both", "one cell")))
+    if how == "drawn":
+        return draw(_tables(draw(st.integers(1, 4)))), gold
+    pred = list(gold)
+    if how in ("rows", "both", "one cell"):
+        pred = draw(st.permutations(pred))
+    if how in ("columns", "both", "one cell"):
+        perm = draw(st.permutations(range(ncols)))
+        pred = [tuple(row[j] for j in perm) for row in pred]
+    if how == "one cell" and pred:
+        i = draw(st.integers(0, len(pred) - 1))
+        j = draw(st.integers(0, ncols - 1))
+        row = list(pred[i])
+        row[j] = draw(_cells)
+        pred[i] = tuple(row)
+    return pred, gold
+
+
+@settings(max_examples=600, deadline=None)
+@given(tables=_table_pairs(), ordered=st.booleans())
+def test_tables_equal_agrees_with_brute_force(tables, ordered):
+    pred, gold = tables
+    want = _tables_equal_by_brute_force(pred, gold, ordered)
+    assert _tables_equal(pred, gold, ordered, math.inf) == want
 
 
 def test_ex_null_distinct_from_zero_and_empty(scratch_db, conns):
@@ -243,6 +303,31 @@ def test_ex_pred_timeout_detail(scratch_db, conns):
     assert elapsed < 5
 
 
+def test_permutation_search_counts_against_the_deadline(tmp_path, conns):
+    """Nine columns hold the same 40 values, each rotated by a triangular
+    number. Every column has every other's multiset, but the shifts of
+    c1..c8 are not those of c0..c7 plus a constant, so no permutation
+    aligns the rows and an unbounded search would try all 8! of them."""
+    shifts = [i * (i + 1) // 2 for i in range(9)]
+    path = tmp_path / "rotations.sqlite"
+    conn = sqlite3.connect(path)
+    conn.execute(f"CREATE TABLE r ({', '.join(f'c{i}' for i in range(9))})")
+    conn.executemany(
+        f"INSERT INTO r VALUES ({', '.join('?' * 9)})",
+        [[(row + s) % 40 for s in shifts] for row in range(40)],
+    )
+    conn.commit()
+    conn.close()
+    gold = f"SELECT {', '.join(f'c{i}' for i in range(8))} FROM r"
+    pred = f"SELECT {', '.join(f'c{i}' for i in range(1, 9))} FROM r"
+    start = time.monotonic()
+    assert ex_with_detail(pred, gold, path, conns, ordered=False, timeout_ms=200) == (
+        False,
+        "timeout",
+    )
+    assert time.monotonic() - start < 2
+
+
 def test_ex_gold_error_raises(scratch_db, conns):
     with pytest.raises(GoldExecutionError):
         ex_with_detail("SELECT 1", "SELECT broken FROM missing", scratch_db, conns, ordered=False)
@@ -304,6 +389,57 @@ def test_evaluate_pair_perfect(pair):
     assert v.failure_kind is None
     assert set(v.timings) == {"match_ms", "execution_ms"}
     assert all(t >= 0 for t in v.timings.values())
+
+
+def test_gold_is_an_exact_match_of_itself(corpus, catalogs):
+    """What evaluate_pair relies on when it skips parsing a prediction
+    spelled as its gold."""
+    for q in corpus:
+        cat = catalogs[q.db_id]
+        gold_ast = parse_sql(q.sql, cat)
+        for ignore_values in (False, True):
+            assert em_with_detail(q.sql, gold_ast, cat, ignore_values) == (True, None), q.sql
+
+
+def test_prediction_spelled_as_gold_is_not_parsed_again(pair, monkeypatch):
+    def no_parse(*args):
+        raise AssertionError("prediction parsed again")
+
+    monkeypatch.setattr("linksql.evalx.parse_sql", no_parse)
+    gold = "SELECT Name, City FROM Venue WHERE Capacity > 100"
+    v = pair("e:0", gold, gold)  # the fixture parses the gold itself
+    assert v.exact_match and v.execution_match and v.failure_kind is None
+    # one character off is a different text, which is parsed
+    with pytest.raises(AssertionError, match="parsed again"):
+        pair("e:0", gold + " ", gold)
+
+
+@pytest.mark.parametrize(
+    "gold, parsed",
+    [
+        ("SELECT Name FROM Venue", "SELECT Name FROM Venue"),
+        # random() is outside the dialect; the shortcut reads only the text,
+        # so the parse of the same query ordered by a column stands in
+        (
+            "SELECT Name FROM Venue ORDER BY random() LIMIT 1",
+            "SELECT Name FROM Venue ORDER BY Name LIMIT 1",
+        ),
+    ],
+)
+def test_prediction_spelled_as_gold_is_still_executed(
+    cat, venue_db, conns, monkeypatch, gold, parsed
+):
+    ran = []
+    run = ConnectionSet.run
+
+    def spy(self, db_file, sql, deadline):
+        ran.append(sql)
+        return run(self, db_file, sql, deadline)
+
+    monkeypatch.setattr(ConnectionSet, "run", spy)
+    v = evaluate_pair("e:0", gold, gold, parse_sql(parsed, cat), cat, venue_db, conns)
+    assert ran == [gold, gold]
+    assert v.exact_match
 
 
 def test_evaluate_pair_em_false_ex_true(pair):
