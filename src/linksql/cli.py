@@ -140,32 +140,14 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"unknown metrics: {', '.join(sorted(unknown))}")
     catalogs = _load_catalogs_indexed(args.tables, args.db_root, 0)
     split = load_split(args.examples, catalogs, args.db_root)
-    traces = read_traces(args.traces)
-    if not traces:
-        raise ValueError(f"{args.traces}: no traces found")
-    by_id = {t["example_id"]: t for t in traces}
-    missing = [ex.example_id for ex in split.examples if ex.example_id not in by_id]
-    if missing:
-        raise ValueError(
-            f"{args.traces}: no trace for {len(missing)} examples"
-            f" (first: {missing[0]})"
-        )
-    split_ids = {ex.example_id for ex in split.examples}
-    extra = [ex_id for ex_id in by_id if ex_id not in split_ids]
-    if extra:
-        raise ValueError(
-            f"{args.traces}: {len(extra)} traces for examples not in the split"
-            f" (first: {extra[0]})"
-        )
+    traces = read_traces(args.traces, split)
     report = evalx.evaluate_split(
         traces[0]["mode"],
         split,
         catalogs,
-        {ex_id: t["extracted_sql"] for ex_id, t in by_id.items()},
+        {t["example_id"]: t["extracted_sql"] for t in traces},
         predicted_links=(
-            {ex.example_id: trace_link_target(by_id[ex.example_id]) for ex in split.examples}
-            if "link" in metrics
-            else None
+            {t["example_id"]: trace_link_target(t) for t in traces} if "link" in metrics else None
         ),
         ignore_values=args.ignore_values,
         timeout_ms=args.timeout_ms,

@@ -414,31 +414,6 @@ def evaluate_split(
 
     if not verdicts:
         raise ValueError("no evaluable examples (all quarantined, skipped, or invalid)")
-    return aggregate(
-        verdicts,
-        mode,
-        linking=aggregate_linking(linking_scores) if linking_scores else None,
-        model_name=model_name,
-        quarantined=tuple(quarantined),
-        invalid_gold=tuple(invalid_gold),
-        skipped_no_database=tuple(skipped),
-    )
-
-
-# -- aggregation and reporting --------------------------------------------
-
-
-def aggregate(
-    verdicts: list[SqlVerdict],
-    mode: str,
-    linking: LinkingSummary | None = None,
-    model_name: str | None = None,
-    quarantined: tuple[str, ...] = (),
-    invalid_gold: tuple[str, ...] = (),
-    skipped_no_database: tuple[str, ...] = (),
-) -> EvalReport:
-    if not verdicts:
-        raise ValueError("cannot aggregate zero verdicts")
     n = len(verdicts)
     return EvalReport(
         mode=mode,
@@ -448,10 +423,13 @@ def aggregate(
         em_accuracy=sum(v.exact_match for v in verdicts) / n,
         quarantined=tuple(quarantined),
         invalid_gold=tuple(invalid_gold),
-        skipped_no_database=tuple(skipped_no_database),
+        skipped_no_database=tuple(skipped),
         verdicts=tuple(verdicts),
-        linking=linking,
+        linking=aggregate_linking(linking_scores) if linking_scores else None,
     )
+
+
+# -- reporting -------------------------------------------------------------
 
 
 def write_verdicts(path: str | Path, verdicts) -> None:

@@ -45,6 +45,7 @@ from .sqlast import LinkTarget, SqlError, extract_link_targets, parse_sql
 log = logging.getLogger(__name__)
 
 MODES = ("full", "dts", "oracle_link")
+API_KEY_ENV = "LINKSQL_API_KEY"  # the endpoint's credential; never logged
 
 
 class EndpointError(Exception):
@@ -61,7 +62,6 @@ class EndpointConfig:
     max_parallel_requests: int = 4
     max_retries: int = 2
     backoff_seconds: float = 0.5
-    api_key_env: str = "LINKSQL_API_KEY"  # credential read from env, never logged
 
     def __post_init__(self):
         if not self.base_url:
@@ -214,7 +214,7 @@ def complete(
         }
     ).encode("utf-8")
     headers = {}
-    api_key = os.environ.get(config.api_key_env)
+    api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     conn = EndpointConnection(config) if connection is None else connection
@@ -379,17 +379,21 @@ def write_traces(path: str | Path, traces) -> None:
             fh.write(json.dumps(vars(trace), ensure_ascii=False) + "\n")
 
 
-def read_traces(path: str | Path) -> list[dict]:
-    """The rows of a trace file: one per example, all of one mode.
+def read_traces(path: str | Path, split: Split) -> list[dict]:
+    """The rows of a trace file for ``split``: one per example, all of one
+    mode, in split order.
 
     Raises ValueError, naming the file and line, on a row that is not a
     JSON object with a string ``example_id``, on a mode outside MODES or
     unlike the first row's, on an ``extracted_sql`` that is missing or not
-    a string, on a ``resolved_tables`` or ``resolved_columns`` that is
-    present but not a list of strings, and on a second row for one example.
+    a string, on a ``resolved_tables`` that is present but not a list of
+    strings, on a ``resolved_columns`` that is present but not a list of
+    ``table.column`` strings, on a row for an example the split lacks and
+    on a second row for one example. Raises ValueError, naming the file,
+    on a file with no rows and on one without a row for every example.
     """
-    out: list[dict] = []
-    seen: set[str] = set()
+    rows: dict[str, dict | None] = dict.fromkeys(ex.example_id for ex in split.examples)
+    first_mode = None
     with Path(path).open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -405,9 +409,11 @@ def read_traces(path: str | Path) -> list[dict]:
             mode = row.get("mode")
             if mode not in MODES:
                 raise ValueError(f"{where}: mode {mode!r} is not one of {', '.join(MODES)}")
-            if out and mode != out[0]["mode"]:
+            if first_mode is None:
+                first_mode = mode
+            elif mode != first_mode:
                 raise ValueError(
-                    f"{where}: mode {mode!r} differs from the first row's {out[0]['mode']!r}"
+                    f"{where}: mode {mode!r} differs from the first row's {first_mode!r}"
                 )
             if not isinstance(row.get("extracted_sql"), str):
                 raise ValueError(f"{where}: extracted_sql is missing or not a string")
@@ -415,17 +421,26 @@ def read_traces(path: str | Path) -> list[dict]:
                 names = row.get(key, [])
                 if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                     raise ValueError(f"{where}: {key} is not a list of strings")
-            if row["example_id"] in seen:
-                raise ValueError(f"{where}: a second trace for {row['example_id']}")
-            seen.add(row["example_id"])
-            out.append(row)
-    return out
+            for name in row.get("resolved_columns", ()):
+                table, _, column = name.partition(".")
+                if not table or not column:
+                    raise ValueError(f"{where}: {name!r} in resolved_columns is not table.column")
+            example_id = row["example_id"]
+            if example_id not in rows:
+                raise ValueError(f"{where}: a trace for {example_id}, which the split lacks")
+            if rows[example_id] is not None:
+                raise ValueError(f"{where}: a second trace for {example_id}")
+            rows[example_id] = row
+    if first_mode is None:
+        raise ValueError(f"{path}: no traces found")
+    missing = [ex_id for ex_id, row in rows.items() if row is None]
+    if missing:
+        raise ValueError(f"{path}: no trace for {len(missing)} examples (first: {missing[0]})")
+    return list(rows.values())
 
 
 def trace_link_target(row: dict) -> LinkTarget:
     """The link target of a trace row from ``read_traces``."""
     tables = frozenset(row.get("resolved_tables", ()))
-    columns = frozenset(
-        tuple(c.split(".", 1)) for c in row.get("resolved_columns", ()) if "." in c
-    )
+    columns = frozenset(tuple(c.split(".", 1)) for c in row.get("resolved_columns", ()))
     return LinkTarget(tables, columns)

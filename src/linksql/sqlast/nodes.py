@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 AGGREGATES = ("count", "sum", "avg", "min", "max")
-ARITH_OPS = ("+", "-", "*", "/")
 COMPARE_OPS = ("=", "!=", "<", "<=", ">", ">=")
 PREDICATE_OPS = COMPARE_OPS + ("like", "not like", "in", "not in", "between", "exists")
 SET_OPS = ("union", "intersect", "except")

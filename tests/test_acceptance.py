@@ -16,8 +16,8 @@ from fixturedb import SCHEMAS
 from querygen import make_corpus
 
 from linksql.cli import main
-from linksql.evalx import ConnectionSet, aggregate, evaluate_pair
-from linksql.ingest import db_file_for
+from linksql.evalx import ConnectionSet, evaluate_pair, evaluate_split
+from linksql.ingest import db_file_for, load_split
 from linksql.linker import score_linking
 from linksql.orchestrate import EndpointConfig, read_traces, run_pipeline
 from linksql.promptgen import emit_sft_dataset
@@ -154,20 +154,8 @@ def test_criterion_4_oracle_link_upper_bound(
 ):
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline("oracle_link", split100, catalogs, config=_config(ep))
-    with ConnectionSet() as conns:
-        verdicts = [
-            evaluate_pair(
-                ex.example_id,
-                trace.extracted_sql,
-                ex.gold_sql,
-                parse_sql(ex.gold_sql, catalogs[ex.db_id]),
-                catalogs[ex.db_id],
-                ex.db_file,
-                conns,
-            )
-            for trace, ex in zip(traces, split100.examples)
-        ]
-    report = aggregate(verdicts, mode="oracle_link")
+    predictions = {trace.example_id: trace.extracted_sql for trace in traces}
+    report = evaluate_split("oracle_link", split100, catalogs, predictions)
     ok = report.n == 100 and report.ex_accuracy == 1.0 and report.em_accuracy == 1.0
     _verdict(
         capsys,
@@ -348,7 +336,7 @@ def test_criterion_9_resilience(
                 "--max-parallel", "8",
             ]
         )
-    rows = read_traces(traces_path)
+    rows = read_traces(traces_path, load_split(split_file, catalogs, fixture_paths["db_root_a"]))
     failures = sum(1 for r in rows if r["error"])
 
     out_dir = tmp_path / "scores"

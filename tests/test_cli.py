@@ -266,9 +266,12 @@ def _trace(i, mode="dts", sql="SELECT Name FROM Venue"):
         # ... and a row without one used to count as dts
         ([{"example_id": "dev:0", "extracted_sql": ""}, _trace(1)],
          ":1: mode None is not one of full, dts, oracle_link"),
-        # rows for examples the split lacks used to be ignored
-        ([_trace(0), _trace(1), _trace(7)],
-         ": 1 traces for examples not in the split (first: dev:7)"),
+        # rows for examples the split lacks used to be ignored, then were
+        # reported after the whole file was read, without their line
+        ([_trace(0), _trace(1), _trace(7)], ":3: a trace for dev:7, which the split lacks"),
+        ([_trace(0), _trace(7)], ":2: a trace for dev:7, which the split lacks"),
+        ([_trace(0)], ": no trace for 1 examples (first: dev:1)"),
+        ([], ": no traces found"),
         # these used to escape as a KeyError and a TypeError traceback
         ([_trace(0), {"mode": "dts", "extracted_sql": ""}],
          ":2: not a trace object with a string example_id"),
@@ -285,10 +288,19 @@ def _trace(i, mode="dts", sql="SELECT Name FROM Venue"):
          ":2: resolved_columns is not a list of strings"),
         ([{**_trace(0), "resolved_tables": "venue"}, _trace(1)],
          ":1: resolved_tables is not a list of strings"),
+        # an entry without a table used to be dropped, and ".x" to name table ""
+        ([_trace(0), {**_trace(1), "resolved_columns": ["title", "venue.name"]}],
+         ":2: 'title' in resolved_columns is not table.column"),
+        ([{**_trace(0), "resolved_columns": [".x"]}, _trace(1)],
+         ":1: '.x' in resolved_columns is not table.column"),
+        ([{**_trace(0), "resolved_columns": ["venue."]}, _trace(1)],
+         ":1: 'venue.' in resolved_columns is not table.column"),
     ],
     ids=[
-        "duplicate", "mixed-modes", "no-mode", "extra-id", "no-example-id", "not-an-object",
-        "not-json", "null-sql", "number-sql", "no-sql", "number-column", "tables-not-a-list",
+        "duplicate", "mixed-modes", "no-mode", "extra-id", "extra-and-missing", "missing-id",
+        "empty-file", "no-example-id", "not-an-object", "not-json", "null-sql", "number-sql",
+        "no-sql", "number-column", "tables-not-a-list", "column-without-table",
+        "column-with-empty-table", "column-with-empty-name",
     ],
 )
 def test_eval_rejects_traces_it_cannot_attach(fixture_paths, tmp_path, capsys, rows, message):

@@ -17,11 +17,11 @@ from linksql.evalx import (
     DEFAULT_TIMEOUT_MS,
     FAILURE_KINDS,
     ConnectionSet,
+    EvalReport,
     GoldExecutionError,
     SqlVerdict,
     _cell_key,
     _tables_equal,
-    aggregate,
     em_with_detail,
     evaluate_pair,
     evaluate_split,
@@ -472,21 +472,20 @@ def test_evaluate_pair_result_mismatch(pair):
     assert v.failure_kind in FAILURE_KINDS
 
 
-def test_aggregate_math(pair):
-    verdicts = [
-        pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
-        pair("b", "SELECT City FROM Venue", "SELECT Name FROM Venue"),
-    ]
-    report = aggregate(verdicts, mode="full", model_name="m1")
+def test_aggregate_math(catalogs, venue_split):
+    split = venue_split("SELECT Name FROM Venue", "SELECT Name FROM Venue")
+    predictions = {"t:0": "SELECT Name FROM Venue", "t:1": "SELECT City FROM Venue"}
+    report = evaluate_split("full", split, catalogs, predictions, model_name="m1")
     assert report.n == 2
     assert report.ex_accuracy == 0.5
     assert report.em_accuracy == 0.5
     assert report.mode == "full"
+    assert report.model == "m1"
 
 
-def test_aggregate_empty_rejected():
-    with pytest.raises(ValueError):
-        aggregate([], mode="full")
+def test_aggregate_empty_rejected(catalogs):
+    with pytest.raises(ValueError, match="no evaluable examples"):
+        evaluate_split("full", Split("t", ()), catalogs, {})
 
 
 def test_verdict_roundtrip(pair, tmp_path):
@@ -503,13 +502,17 @@ def test_report_roundtrip_and_text(pair, tmp_path):
         pair("a", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
         pair("b", "SELECT City FROM Venue", "SELECT Name FROM Venue"),
     ]
-    report = aggregate(
-        verdicts,
+    report = EvalReport(
         mode="dts",
-        linking=LinkingSummary(2, 0.75, 0.5, 0.5, (1.0, 1.0, 1.0), (0.25, 0.5, 0.0)),
-        model_name="toy-7b",
+        model="toy-7b",
+        n=2,
+        ex_accuracy=0.5,
+        em_accuracy=0.5,
         quarantined=("q:0",),
+        invalid_gold=(),
         skipped_no_database=("s:1",),
+        verdicts=tuple(verdicts),
+        linking=LinkingSummary(2, 0.75, 0.5, 0.5, (1.0, 1.0, 1.0), (0.25, 0.5, 0.0)),
     )
     path = tmp_path / "report.json"
     for written in (report, dataclasses.replace(report, linking=None)):

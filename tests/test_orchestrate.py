@@ -14,6 +14,7 @@ import pytest
 import mockserver
 from mockserver import MockEndpoint
 
+from linksql.ingest import Example, Split
 from linksql.linker import parse_linker_output
 from linksql.orchestrate import (
     MODES,
@@ -457,7 +458,7 @@ def test_trace_link_target_reads_back_written_dts_trace(
             trace_path=tmp_path / "traces.jsonl",
             sleep=_no_sleep,
         )
-    rows = read_traces(tmp_path / "traces.jsonl")
+    rows = read_traces(tmp_path / "traces.jsonl", split)
     for row, trace, ex in zip(rows, traces, split.examples):
         target = parse_linker_output(trace.stage1_completion, catalogs[ex.db_id])
         assert target.columns
@@ -574,7 +575,7 @@ def test_trace_io_roundtrip(split100, catalogs, oracle_answers, tmp_path):
             timer=lambda: float(next(fixed)),
             sleep=_no_sleep,
         )
-    rows = read_traces(tmp_path / "traces.jsonl")
+    rows = read_traces(tmp_path / "traces.jsonl", split)
     assert len(rows) == 4
     assert [
         TwoStageTrace(**{k: tuple(v) if isinstance(v, list) else v for k, v in row.items()})
@@ -599,7 +600,22 @@ def test_write_traces_standalone(tmp_path):
         wall_ms={"total_ms": 1.0},
     )
     write_traces(tmp_path / "t.jsonl", [trace])
-    assert read_traces(tmp_path / "t.jsonl")[0]["example_id"] == "x:0"
+    split = Split("x", (Example("x:0", "q", "SELECT 1", "venue_events", None),))
+    assert read_traces(tmp_path / "t.jsonl", split)[0]["example_id"] == "x:0"
+
+
+def test_read_traces_returns_rows_in_split_order(tmp_path):
+    examples = tuple(Example(f"x:{i}", "q", "SELECT 1", "venue_events", None) for i in range(3))
+    split = Split("x", examples)
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"example_id": f"x:{i}", "mode": "full", "extracted_sql": ""}) + "\n"
+            for i in (2, 0, 1)
+        ),
+        encoding="utf-8",
+    )
+    assert [row["example_id"] for row in read_traces(path, split)] == ["x:0", "x:1", "x:2"]
 
 
 # -- dependencies ----------------------------------------------------------
