@@ -228,17 +228,6 @@ def prompt_parts(
     return _SYSTEM_PREAMBLES[stage], body
 
 
-def build_prompt(
-    stage: str,
-    question: str,
-    catalog: DatabaseCatalog,
-    selected_tables: frozenset | set | None = None,
-    templates: PromptTemplateSet | None = None,
-) -> str:
-    system, body = prompt_parts(stage, question, catalog, selected_tables, templates)
-    return f"{system}\n\n{body}"
-
-
 # -- dataset emission ------------------------------------------------------
 
 
@@ -277,14 +266,14 @@ def emit_sft_dataset(
                 continue
             target = extract_link_targets(ast)
             selected = target.tables if stage == "gen" else None
-            prompt = build_prompt(stage, ex.question, catalog, selected, templates)
+            system, body = prompt_parts(stage, ex.question, catalog, selected, templates)
             completion = (
                 serialize_link_target(target, catalog) if stage == "link" else ex.gold_sql
             )
             record = {
                 "example_id": ex.example_id,
                 "stage": stage,
-                "prompt": prompt,
+                "prompt": f"{system}\n\n{body}",
                 "completion": completion,
                 "db_id": ex.db_id,
             }

@@ -41,20 +41,22 @@ class Token(NamedTuple):
         return self.kind == "KW" and self.value in words
 
 
-# One alternative per token kind, tried in order at each position. NUM
-# comes before OP so that ".5" is a number, while a dot before anything but
-# a digit is the qualifier operator. A closing quote must not be followed
-# by the same quote, which would make it half of an escaped pair. BAD takes
-# any other character, so matches cover the text without gaps.
+# One match per token, whitespace before it included, with one group per
+# kind: WORD, NUM, STR, QUOTED, OP, BAD. The alternatives are tried in
+# order: NUM comes before OP so that ".5" is a number, while a dot before
+# anything but a digit is the qualifier operator. A closing quote must not
+# be followed by the same quote, which would make it half of an escaped
+# pair. BAD takes any other non-space character, so matches cover the text
+# without gaps but for trailing whitespace.
 _TOKEN = re.compile(
-    r"""(?P<SPACE>\s+)
-    |(?P<NUM>(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
-    |(?P<WORD>[^\W\d]\w*)
-    |(?P<STR>'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))
-    |(?P<QUOTED>`[^`]*`)
-    |(?P<OP><>|==|[<>!]=|[=<>(),.;*+\-/%])
-    |(?P<BAD>.)""",
-    re.VERBOSE | re.DOTALL,
+    r"""\s*(?:
+    ([^\W\d]\w*)
+    |((?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
+    |('[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))
+    |(`[^`]*`)
+    |(<>|==|[<>!]=|[=<>(),.;*+\-/%])
+    |(\S))""",
+    re.VERBOSE,
 )
 _OP_ALIASES = {"<>": "!=", "==": "="}
 _UNTERMINATED = {
@@ -62,38 +64,75 @@ _UNTERMINATED = {
     '"': "unterminated string literal",
     "`": "unterminated quoted identifier",
 }
-_new = tuple.__new__  # skips NamedTuple's Python-level __new__
+# after the last token, so a lookahead of up to two never runs off the end
+_END_PADDING = 3
+
+
+def scan(text: str) -> tuple[list[str], list[str]]:
+    """The tags and values of the tokens of text, then END padding.
+
+    A tag is a keyword (lower case) or an operator as written, else IDENT,
+    NUM or STR; a number is Unicode decimal digits and an identifier a
+    letter or _, then letters, digits or _. Positions are left out: they
+    are only needed for an error, and ``token_start`` finds them then.
+    """
+    tags: list[str] = []
+    values: list[str] = []
+    add_tag = tags.append
+    add_value = values.append
+    for word, num, string, quoted, op, bad in _TOKEN.findall(text):
+        if word:
+            lower = word.lower()
+            if lower in KEYWORDS:
+                add_tag(lower)
+                add_value(lower)
+            # \w also takes numerals such as Ⅷ or ², which start no identifier
+            elif word[0].isalpha() or word[0] == "_":
+                add_tag("IDENT")
+                add_value(word)
+            else:
+                message = f"unexpected character {word[0]!r}"
+                raise SqlParseError(message, token_start(text, len(tags)))
+        elif op:
+            op = _OP_ALIASES.get(op, op)
+            add_tag(op)
+            add_value(op)
+        elif num:
+            add_tag("NUM")
+            add_value(num)
+        elif string:
+            add_tag("STR")
+            add_value(string[1:-1].replace(string[0] * 2, string[0]))
+        elif quoted:
+            add_tag("IDENT")
+            add_value(quoted[1:-1])
+        else:
+            message = _UNTERMINATED.get(bad, f"unexpected character {bad!r}")
+            raise SqlParseError(message, token_start(text, len(tags)))
+    tags += ["END"] * _END_PADDING
+    values += [""] * _END_PADDING
+    return tags, values
+
+
+def _token_starts(text: str) -> list[int]:
+    return [m.start(m.lastindex) for m in _TOKEN.finditer(text)]
+
+
+def token_start(text: str, index: int) -> int:
+    """Character position of the token ``scan`` put at ``index``; END and
+    its padding are at the end of the text."""
+    starts = _token_starts(text)
+    return starts[index] if index < len(starts) else len(text)
 
 
 def tokenize(text: str) -> list[Token]:
-    """Split text into tokens ending with END. A number is Unicode decimal
-    digits; an identifier is a letter or _, then letters, digits or _."""
-    tokens: list[Token] = []
-    append = tokens.append
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "SPACE":
-            continue
-        value = m.group()
-        pos = m.start()
-        if kind == "WORD":
-            lower = value.lower()
-            if lower in KEYWORDS:
-                append(_new(Token, ("KW", lower, pos)))
-                continue
-            # \w also takes numerals such as Ⅷ or ², which start no identifier
-            if not (value[0].isalpha() or value[0] == "_"):
-                raise SqlParseError(f"unexpected character {value[0]!r}", pos)
-            kind = "IDENT"
-        elif kind == "OP":
-            value = _OP_ALIASES.get(value, value)
-        elif kind == "STR":
-            quote = value[0]
-            value = value[1:-1].replace(quote + quote, quote)
-        elif kind == "QUOTED":
-            kind, value = "IDENT", value[1:-1]
-        elif kind == "BAD":
-            raise SqlParseError(_UNTERMINATED.get(value, f"unexpected character {value!r}"), pos)
-        append(_new(Token, (kind, value, pos)))
-    append(_new(Token, ("END", "", len(text))))
+    """Split text into tokens ending with END, as ``scan`` does, with the
+    position of each."""
+    tags, values = scan(text)
+    tokens = []
+    for tag, value, pos in zip(tags, values, _token_starts(text)):
+        if tag not in ("IDENT", "NUM", "STR"):
+            tag = "KW" if tag in KEYWORDS else "OP"
+        tokens.append(Token(tag, value, pos))
+    tokens.append(Token("END", "", len(text)))
     return tokens

@@ -3,9 +3,8 @@
 The dialect is the SELECT-only benchmark subset: joins with ON, nested
 subqueries in FROM / WHERE / HAVING, one set operator per level, the five
 standard aggregates, BETWEEN / IN / LIKE / EXISTS, and arithmetic in value
-positions. Parsing happens in two phases: a raw phase that keeps aliases
-and unqualified names as written, and a resolution phase that substitutes
-canonical table names using the catalog.
+positions. Names resolve as the parser meets them, so each node is built
+once, already holding canonical table names from the catalog.
 
 Resolution binds each FROM entry's alias (else its table name or its
 positional ``#sqN`` name) to ``(name, columns)``: the canonical name and
@@ -14,16 +13,24 @@ select list for a derived table. Each FROM clause is one dict of a
 ``ChainMap``, innermost first: a WHERE or HAVING subquery extends the
 enclosing chain, a FROM subquery starts a new one, and a set operator's
 right-hand side shares its left side's.
+
+So that every name is met after the entries it may refer to, a query is
+parsed FROM first: its FROM entries are bound, then its ON conditions,
+which may name any entry of the clause, then the select list, then the
+clauses after FROM. A syntax error wins over a name error: the first
+ResolutionError is held until the whole statement has parsed. The syntax
+error reported is the first in written order, found by parsing again in
+that order.
 """
 
 from __future__ import annotations
 
 from collections import ChainMap
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 from ..catalog import DatabaseCatalog
-from .lexer import SqlError, SqlParseError, Token, tokenize
+from .lexer import SqlError, SqlParseError, scan, token_start
 from .nodes import (
     AGGREGATES,
     COMPARE_OPS,
@@ -49,239 +56,379 @@ class ResolutionError(SqlError):
     or resolves to more than one FROM entry."""
 
 
-@dataclass(frozen=True)
-class _RawRef:
-    qualifier: str | None
-    name: str
+class _SyntaxError(Exception):
+    """A syntax error at a token index; ``parse_sql`` reports it as a
+    SqlParseError at that token's character position."""
+
+    def __init__(self, message: str, at: int):
+        super().__init__(message)
+        self.message = message
+        self.at = at
 
 
-@dataclass
-class _RawSource:
-    target: str | _RawQuery  # table name or FROM subquery
-    alias: str | None
-    on_tree: object | None = None  # raw bool tree from this join's ON clause
-
-
-@dataclass
-class _RawQuery:
-    distinct: bool = False
-    items: list = field(default_factory=list)
-    sources: list = field(default_factory=list)
-    where: object | None = None
-    group: list = field(default_factory=list)
-    having: object | None = None
-    order: list = field(default_factory=list)
-    limit: int | None = None
-    set_op: tuple | None = None  # (op, _RawQuery)
+# Tags that end an ON condition: outside parentheses no condition holds
+# one, and in a valid query one of them follows every ON condition.
+_CONDITION_ENDS = frozenset(
+    {",", "inner", "join", "where", "group", "having", "order", "limit", ")", ";", "END", *SET_OPS}
+)
+_JOIN_MODIFIERS = frozenset({"left", "right", "full", "outer", "cross", "natural"})
 
 
 class _Parser:
-    """Token cursor. Each token has a tag, the keyword or operator text or
-    else the kind, so one string test asks what comes next."""
+    """Cursor over the lexer's tags and values. A tag is the keyword or
+    operator text, else IDENT, NUM, STR or END, so one string test asks
+    what comes next.
 
-    def __init__(self, tokens: list[Token]):
-        # two more ENDs, so a lookahead of up to two never runs off the end
-        self.tokens = tokens + tokens[-1:] * 2
-        self.tags = [t.value if t.kind in ("KW", "OP") else t.kind for t in self.tokens]
+    Names resolve against ``scope``. The first name that fails is held in
+    ``held`` and parsing goes on with a placeholder, so that a syntax
+    error later in the statement still wins. With ``written_order`` the
+    parser takes each query's clauses in the order they are written, which
+    finds the first syntax error; names met before the FROM entries they
+    refer to fail then, and are not reported.
+    """
+
+    def __init__(
+        self,
+        tags: list[str],
+        values: list[str],
+        catalog: DatabaseCatalog,
+        written_order: bool = False,
+    ):
+        self.tags = tags
+        self.values = values
+        self.catalog = catalog
+        self.written_order = written_order
         self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+        self.scope: ChainMap = ChainMap()
+        self.held: ResolutionError | None = None
+        self._closing: dict[int, int] | None = None
 
     def tag(self, ahead: int = 0) -> str:
         return self.tags[self.i + ahead]
 
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "END":
-            self.i += 1
-        return tok
+    def take(self) -> str:
+        value = self.values[self.i]
+        self.i += 1
+        return value
 
-    def error(self, message: str) -> SqlParseError:
-        return SqlParseError(message, self.peek().pos)
+    def error(self, message: str) -> _SyntaxError:
+        return _SyntaxError(message, self.i)
 
-    def expect(self, tag: str) -> Token:
-        if self.tag() != tag:
+    def expect(self, tag: str) -> None:
+        if self.tags[self.i] != tag:
             shown = tag.upper() if tag.isalpha() else repr(tag)
-            raise self.error(f"expected {shown}, found {self.peek().value!r}")
-        return self.take()
+            raise self.error(f"expected {shown}, found {self.values[self.i]!r}")
+        self.i += 1
 
     def take_ident(self, what: str) -> str:
-        tok = self.take()
-        if tok.kind != "IDENT":
-            raise SqlParseError(f"expected {what}, found {tok.value!r}", tok.pos)
-        return tok.value
+        if self.tags[self.i] != "IDENT":
+            raise self.error(f"expected {what}, found {self.values[self.i]!r}")
+        return self.take()
 
     # -- query structure ---------------------------------------------------
 
-    def parse_query(self) -> _RawQuery:
-        core = self.parse_core()
+    def parse_statement(self) -> QueryAst:
+        ast = self.parse_query(ChainMap())
+        if self.tag() == ";":
+            self.i += 1
+        if self.tag() != "END":
+            raise self.error(f"unexpected trailing input {self.values[self.i]!r}")
+        return ast
+
+    def parse_query(self, outer: ChainMap) -> QueryAst:
+        """A query and its set operator, resolved against ``outer``, which
+        is ``scope`` again when it returns."""
+        core = self.parse_core(outer)
         if self.tag() in SET_OPS:
-            op = self.take().value
-            rhs = self.parse_core()
+            op = self.take()
+            rhs = self.parse_core(outer)
             if self.tag() in SET_OPS:
                 raise self.error("chained set operations are not supported")
-            core.set_op = (op, rhs)
+            core = replace(core, set_op=SetOp(op, rhs))
         return core
 
-    def parse_core(self) -> _RawQuery:
+    def parse_core(self, outer: ChainMap) -> QueryAst:
         self.expect("select")
-        q = _RawQuery()
-        if self.tag() == "distinct":
-            self.take()
-            q.distinct = True
-        q.items.append(self.parse_select_item())
-        while self.tag() == ",":
-            self.take()
-            q.items.append(self.parse_select_item())
-        self.expect("from")
-        self.parse_from(q)
-        if self.tag() == "where":
-            self.take()
-            q.where = self.parse_bool()
-        if self.tag() == "group":
-            self.take()
-            self.expect("by")
-            q.group.append(self.parse_group_ref())
-            while self.tag() == ",":
-                self.take()
-                q.group.append(self.parse_group_ref())
-        if self.tag() == "having":
-            self.take()
-            q.having = self.parse_bool()
-        if self.tag() == "order":
-            self.take()
-            self.expect("by")
-            q.order.append(self.parse_order_item())
-            while self.tag() == ",":
-                self.take()
-                q.order.append(self.parse_order_item())
-        if self.tag() == "limit":
-            self.take()
-            tok = self.take()
-            if tok.kind != "NUM" or not tok.value.isdigit():
-                raise SqlParseError("LIMIT expects a non-negative integer", tok.pos)
-            q.limit = int(tok.value)
-        return q
+        distinct = self.tag() == "distinct"
+        self.i += distinct
+        items_at = self.i
+        if self.written_order:
+            self.scope = outer
+            items = self.parse_items()
+            self.expect("from")
+        else:
+            # The select list cannot hold FROM, so its end is the first one.
+            try:
+                self.i = self.tags.index("from", items_at) + 1
+            except ValueError:
+                raise self.error("expected FROM") from None
+        bound: dict[str, tuple[str, Collection[str]]] = {}  # alias -> (name, columns)
+        derived: list[DerivedTable] = []
+        ons = self.parse_from(bound, derived)
+        self.scope = outer.new_child(bound)
 
-    def parse_from(self, q: _RawQuery) -> None:
-        q.sources.append(self.parse_source())
+        join_pairs: set[JoinPair] = set()
+        leftovers: list[object] = []
+        resume = self.i
+        for start, end in ons:
+            self.i = start
+            tree = self.parse_bool()
+            if self.i != end:
+                raise self.error(f"unexpected {self.values[self.i]!r} after an ON condition")
+            for part in _and_parts(tree):
+                pair = _as_join_pair(part)
+                if pair is not None:
+                    join_pairs.add(pair)
+                else:
+                    leftovers.append(part)
+        if not self.written_order:
+            self.i = items_at
+            items = self.parse_items()
+            self.expect("from")
+        self.i = resume
+
+        where = None
+        if self.tag() == "where":
+            self.i += 1
+            where = self.parse_bool()
+        if leftovers:
+            parts = leftovers + ([where] if where is not None else [])
+            where = parts[0] if len(parts) == 1 else BoolNode("and", tuple(parts))
+        group: list[ColumnRef] = []
+        if self.tag() == "group":
+            self.i += 1
+            self.expect("by")
+            group.append(self.parse_group_ref())
+            while self.tag() == ",":
+                self.i += 1
+                group.append(self.parse_group_ref())
+        having = None
+        if self.tag() == "having":
+            self.i += 1
+            having = self.parse_bool()
+        order: list[OrderItem] = []
+        if self.tag() == "order":
+            self.i += 1
+            self.expect("by")
+            order.append(self.parse_order_item())
+            while self.tag() == ",":
+                self.i += 1
+                order.append(self.parse_order_item())
+        limit = None
+        if self.tag() == "limit":
+            self.i += 1
+            if self.tag() != "NUM" or not self.values[self.i].isdigit():
+                raise self.error("LIMIT expects a non-negative integer")
+            limit = int(self.take())
+        self.scope = outer
+        return QueryAst(
+            select_distinct=distinct,
+            select_items=items,
+            from_order=tuple(name for name, _ in bound.values()),
+            derived=tuple(derived),
+            join_conditions=frozenset(join_pairs),
+            where_tree=where,
+            group_by=tuple(group),
+            having_tree=having,
+            order_by=tuple(order),
+            limit=limit,
+        )
+
+    def parse_from(self, bound: dict, derived: list) -> list[tuple[int, int]]:
+        """Bind the FROM entries; return the token range of each ON
+        condition, to be parsed once every entry is bound."""
+        ons: list[tuple[int, int]] = []
+        self.parse_source(bound, derived)
         while True:
             if self.tag() == ",":
-                self.take()
-                q.sources.append(self.parse_source())
+                self.i += 1
+                self.parse_source(bound, derived)
                 continue
             if self.tag() == "inner":
-                self.take()
+                self.i += 1
                 self.expect("join")
             elif self.tag() == "join":
-                self.take()
+                self.i += 1
             else:
                 break
-            src = self.parse_source()
+            self.parse_source(bound, derived)
             if self.tag() == "on":
-                self.take()
-                src.on_tree = self.parse_bool()
-            q.sources.append(src)
+                self.i += 1
+                if self.written_order:
+                    self.parse_bool()  # for its syntax: the names are not reported
+                else:
+                    start = self.i
+                    self.i = self.condition_end(start)
+                    ons.append((start, self.i))
+        return ons
 
-    def parse_source(self) -> _RawSource:
+    def parse_source(self, bound: dict, derived: list) -> None:
         if self.tag() == "(":
-            self.take()
-            sub = self.parse_query()
+            self.i += 1
+            # A derived table resolves in isolation: standard SQL gives a
+            # FROM subquery no access to sibling or outer names.
+            sub = self.parse_query(ChainMap())
             self.expect(")")
-            alias = self.parse_alias()
-            return _RawSource(sub, alias)
-        name = self.take_ident("table name")
-        alias = self.parse_alias()
-        return _RawSource(name, alias)
-
-    _JOIN_MODIFIERS = frozenset({"left", "right", "full", "outer", "cross", "natural"})
+            name = f"{DERIVED_PREFIX}{len(derived)}"
+            derived.append(DerivedTable(name, sub))
+            # once a name has failed, the columns no longer matter
+            columns: Collection[str] = (
+                _output_columns(sub, self.catalog) if self.held is None else ()
+            )
+        else:
+            written = self.take_ident("table name")
+            name = written.strip().lower()
+            if self.catalog.has_table(name):
+                columns = self.catalog.table(name).column_map
+            else:
+                self.hold(f"unknown table {written!r} in database {self.catalog.db_id!r}")
+                columns = ()
+        alias = (self.parse_alias() or name).strip().lower()
+        if alias in bound:
+            self.hold(f"duplicate table alias {alias!r}")
+        bound[alias] = (name, columns)
 
     def parse_alias(self) -> str | None:
         if self.tag() == "as":
-            self.take()
+            self.i += 1
             return self.take_ident("alias")
         if self.tag() == "IDENT":
-            word = self.peek().value
-            if word.lower() in self._JOIN_MODIFIERS and self.tag(1) == "join":
+            word = self.values[self.i]
+            if word.lower() in _JOIN_MODIFIERS and self.tag(1) == "join":
                 raise self.error(f"unsupported join type {word!r}")
-            return self.take().value
+            return self.take()
         return None
+
+    def condition_end(self, i: int) -> int:
+        """The index of the first tag of ``_CONDITION_ENDS`` at or after
+        ``i`` outside parentheses: where a valid condition starting at
+        ``i`` ends. Nested queries are skipped by matching parentheses,
+        not parsed, so each is parsed once, when the condition is."""
+        tags = self.tags
+        while tags[i] not in _CONDITION_ENDS:
+            if tags[i] == "(":
+                i = self.closing(i)
+            i += 1
+        return i
+
+    def closing(self, i: int) -> int:
+        """The index of the ")" matching the "(" at ``i``; for one that is
+        never closed, the index before END."""
+        if self._closing is None:
+            self._closing = {}
+            open_at: list[int] = []
+            for j, tag in enumerate(self.tags):
+                if tag == "(":
+                    open_at.append(j)
+                elif tag == ")" and open_at:
+                    self._closing[open_at.pop()] = j
+            end = self.tags.index("END")
+            for j in open_at:
+                self._closing[j] = end - 1
+        return self._closing[i]
+
+    # -- names -------------------------------------------------------------
+
+    def hold(self, message: str) -> None:
+        if self.held is None:
+            self.held = ResolutionError(message)
+
+    def lookup(self, qualifier: str) -> tuple[str, Collection[str]]:
+        try:
+            return self.scope[qualifier.strip().lower()]
+        except KeyError:
+            self.hold(f"unknown table or alias {qualifier!r}")
+            return "", ()
+
+    def column(self, qualifier: str | None, written: str) -> ColumnRef:
+        """The column ``qualifier.written``, or unqualified the one FROM
+        entry of the innermost scope that has it."""
+        col = written.strip().lower()
+        if qualifier is not None:
+            name, columns = self.lookup(qualifier)
+            if col not in columns:
+                self.hold(f"no column {written!r} in {qualifier!r}")
+            return ColumnRef(name, col)
+        for bound in self.scope.maps:
+            matches = [name for name, columns in bound.values() if col in columns]
+            if len(matches) > 1:
+                self.hold(f"ambiguous column name {written!r}")
+            if matches:
+                return ColumnRef(matches[0], col)
+        self.hold(f"unresolvable column {written!r}")
+        return ColumnRef("", col)
 
     # -- expressions -------------------------------------------------------
 
+    def parse_items(self) -> tuple:
+        items = [self.parse_select_item()]
+        while self.tag() == ",":
+            self.i += 1
+            items.append(self.parse_select_item())
+        return tuple(items)
+
     def parse_select_item(self):
         if self.tag() == "*":
-            self.take()
+            self.i += 1
             return Star(None)
         if self.tag() == "IDENT" and self.tag(1) == "." and self.tag(2) == "*":
-            qual = self.take().value
-            self.take()
-            self.take()
-            return Star(qual)
+            qualifier = self.take()
+            self.i += 2
+            return Star(self.lookup(qualifier)[0])
         return self.parse_arith()
 
     def parse_arith(self):
         left = self.parse_term()
         while self.tag() in ("+", "-"):
-            op = self.take().value
+            op = self.take()
             left = Arith(op, left, self.parse_term())
         return left
 
     def parse_term(self):
         left = self.parse_atom()
         while self.tag() in ("*", "/"):
-            op = self.take().value
+            op = self.take()
             left = Arith(op, left, self.parse_atom())
         return left
 
     def parse_atom(self):
         tag = self.tag()
         if tag == "NUM":
-            return Literal.number(self.take().value)
+            return Literal.number(self.take())
         if tag == "STR":
-            return Literal.string(self.take().value)
+            return Literal.string(self.take())
         if tag == "-" and self.tag(1) == "NUM":
-            self.take()
-            num = self.take()
-            return Literal.number("-" + num.value)
+            self.i += 1
+            return Literal.number("-" + self.take())
         if tag == "(":
             if self.tag(1) == "select":
                 raise self.error("subquery not allowed in this position")
-            self.take()
+            self.i += 1
             inner = self.parse_arith()
             self.expect(")")
             return inner
-        if (
-            tag == "IDENT"
-            and self.tag(1) == "("
-            and self.peek().value.lower() in AGGREGATES
-        ):
-            func = self.take().value.lower()
-            self.expect("(")
-            distinct = False
-            if self.tag() == "distinct":
-                self.take()
-                distinct = True
-            if self.tag() == "*":
-                self.take()
-                arg: object = Star(None)
-            else:
-                arg = self.parse_arith()
-            self.expect(")")
-            return Agg(func, distinct, arg)
         if tag == "IDENT":
-            name = self.take().value
+            name = self.take()
+            if self.tag() == "(" and name.lower() in AGGREGATES:
+                self.i += 1
+                distinct = self.tag() == "distinct"
+                self.i += distinct
+                if self.tag() == "*":
+                    self.i += 1
+                    arg: object = Star(None)
+                else:
+                    arg = self.parse_arith()
+                self.expect(")")
+                return Agg(name.lower(), distinct, arg)
             if self.tag() == ".":
-                self.take()
-                col = self.take_ident("column name")
-                return _RawRef(name, col)
-            return _RawRef(None, name)
-        raise self.error(f"unexpected token {self.peek().value!r} in expression")
+                self.i += 1
+                return self.column(name, self.take_ident("column name"))
+            return self.column(None, name)
+        raise self.error(f"unexpected token {self.values[self.i]!r} in expression")
 
-    def parse_group_ref(self) -> _RawRef:
+    def parse_group_ref(self) -> ColumnRef:
         expr = self.parse_atom()
-        if not isinstance(expr, _RawRef):
+        if not isinstance(expr, ColumnRef):
             raise self.error("GROUP BY supports plain column references only")
         return expr
 
@@ -289,7 +436,7 @@ class _Parser:
         expr = self.parse_arith()
         direction = "asc"
         if self.tag() in ("asc", "desc"):
-            direction = self.take().value
+            direction = self.take()
         return OrderItem(expr, direction)
 
     # -- conditions --------------------------------------------------------
@@ -297,20 +444,20 @@ class _Parser:
     def parse_bool(self):
         children = [self.parse_and_chain()]
         while self.tag() == "or":
-            self.take()
+            self.i += 1
             children.append(self.parse_and_chain())
         return children[0] if len(children) == 1 else BoolNode("or", tuple(children))
 
     def parse_and_chain(self):
         children = [self.parse_cond_unit()]
         while self.tag() == "and":
-            self.take()
+            self.i += 1
             children.append(self.parse_cond_unit())
         return children[0] if len(children) == 1 else BoolNode("and", tuple(children))
 
     def parse_cond_unit(self):
         if self.tag() == "(" and self.tag(1) != "select":
-            self.take()
+            self.i += 1
             inner = self.parse_bool()
             self.expect(")")
             return inner
@@ -318,43 +465,43 @@ class _Parser:
 
     def parse_predicate(self) -> Predicate:
         if self.tag() == "exists":
-            self.take()
+            self.i += 1
             self.expect("(")
-            sub = self.parse_query()
+            sub = self.parse_query(self.scope)
             self.expect(")")
             return Predicate("exists", None, sub)
         lhs = self.parse_arith()
         tag = self.tag()
         if tag in COMPARE_OPS:
-            self.take()
+            self.i += 1
             return Predicate(tag, lhs, self.parse_value())
         negated = False
         if tag == "not":
-            self.take()
+            self.i += 1
             negated = True
             tag = self.tag()
         if tag == "like":
-            self.take()
+            self.i += 1
             op = "not like" if negated else "like"
             return Predicate(op, lhs, self.parse_value())
         if tag == "in":
-            self.take()
+            self.i += 1
             op = "not in" if negated else "in"
             return Predicate(op, lhs, self.parse_in_rhs())
         if tag == "between" and not negated:
-            self.take()
+            self.i += 1
             low = self.parse_value(scalar=True)
             self.expect("and")
             high = self.parse_value(scalar=True)
             return Predicate("between", lhs, (low, high))
-        raise self.error(f"expected a comparison operator, found {self.peek().value!r}")
+        raise self.error(f"expected a comparison operator, found {self.values[self.i]!r}")
 
     def parse_value(self, scalar: bool = False):
         if self.tag() == "(" and self.tag(1) == "select":
             if scalar:
                 raise self.error("subquery not allowed as a BETWEEN bound")
-            self.take()
-            sub = self.parse_query()
+            self.i += 1
+            sub = self.parse_query(self.scope)
             self.expect(")")
             return sub
         return self.parse_arith()
@@ -362,12 +509,12 @@ class _Parser:
     def parse_in_rhs(self):
         self.expect("(")
         if self.tag() == "select":
-            sub = self.parse_query()
+            sub = self.parse_query(self.scope)
             self.expect(")")
             return sub
         values = [self._in_literal()]
         while self.tag() == ",":
-            self.take()
+            self.i += 1
             values.append(self._in_literal())
         self.expect(")")
         return tuple(values)
@@ -377,142 +524,6 @@ class _Parser:
         if not isinstance(value, Literal):
             raise self.error("IN lists support literal values only")
         return value
-
-
-# -- resolution ------------------------------------------------------------
-
-
-class _Resolver:
-    def __init__(self, catalog: DatabaseCatalog):
-        self.catalog = catalog
-
-    def resolve_query(self, raw: _RawQuery, outer: ChainMap) -> QueryAst:
-        bound: dict[str, tuple[str, Collection[str]]] = {}  # alias -> (name, columns)
-        scope = outer.new_child(bound)
-        derived: list[DerivedTable] = []
-        for src in raw.sources:
-            if isinstance(src.target, str):
-                name = src.target.strip().lower()
-                if not self.catalog.has_table(name):
-                    raise ResolutionError(
-                        f"unknown table {src.target!r} in database {self.catalog.db_id!r}"
-                    )
-                columns = self.catalog.table(name).column_map
-            else:
-                # Derived tables resolve in isolation: standard SQL gives a
-                # FROM subquery no access to sibling or outer names.
-                sub_ast = self.resolve_query(src.target, ChainMap())
-                name = f"{DERIVED_PREFIX}{len(derived)}"
-                derived.append(DerivedTable(name, sub_ast))
-                columns = _output_columns(sub_ast, self.catalog)
-            alias = (src.alias or name).strip().lower()
-            if alias in bound:
-                raise ResolutionError(f"duplicate table alias {alias!r}")
-            bound[alias] = (name, columns)
-
-        join_pairs: set[JoinPair] = set()
-        leftovers: list[object] = []
-        for src in raw.sources:
-            if src.on_tree is None:
-                continue
-            tree = self.resolve_tree(src.on_tree, scope)
-            for part in _and_parts(tree):
-                pair = _as_join_pair(part)
-                if pair is not None:
-                    join_pairs.add(pair)
-                else:
-                    leftovers.append(part)
-
-        where = self.resolve_tree(raw.where, scope) if raw.where is not None else None
-        if leftovers:
-            parts = leftovers + ([where] if where is not None else [])
-            where = parts[0] if len(parts) == 1 else BoolNode("and", tuple(parts))
-
-        items = tuple(self.resolve_expr(it, scope) for it in raw.items)
-        group = tuple(self.resolve_ref(r, scope) for r in raw.group)
-        having = self.resolve_tree(raw.having, scope) if raw.having is not None else None
-        order = tuple(
-            OrderItem(self.resolve_expr(o.expr, scope), o.direction) for o in raw.order
-        )
-        set_op = None
-        if raw.set_op is not None:
-            op, rhs_raw = raw.set_op
-            set_op = SetOp(op, self.resolve_query(rhs_raw, outer))
-
-        return QueryAst(
-            select_distinct=raw.distinct,
-            select_items=items,
-            from_order=tuple(name for name, _ in bound.values()),
-            derived=tuple(derived),
-            join_conditions=frozenset(join_pairs),
-            where_tree=where,
-            group_by=group,
-            having_tree=having,
-            order_by=order,
-            limit=raw.limit,
-            set_op=set_op,
-        )
-
-    def resolve_expr(self, expr, scope: ChainMap):
-        if isinstance(expr, _RawRef):
-            return self.resolve_ref(expr, scope)
-        if isinstance(expr, Star):
-            if expr.table is None:
-                return expr
-            name, _ = self.lookup_qualifier(expr.table, scope)
-            return Star(name)
-        if isinstance(expr, Literal):
-            return expr
-        if isinstance(expr, Agg):
-            return Agg(expr.func, expr.distinct, self.resolve_expr(expr.arg, scope))
-        if isinstance(expr, Arith):
-            return Arith(
-                expr.op,
-                self.resolve_expr(expr.left, scope),
-                self.resolve_expr(expr.right, scope),
-            )
-        raise TypeError(f"unexpected expression node {expr!r}")
-
-    def lookup_qualifier(
-        self, qualifier: str, scope: ChainMap
-    ) -> tuple[str, Collection[str]]:
-        try:
-            return scope[qualifier.strip().lower()]
-        except KeyError:
-            raise ResolutionError(f"unknown table or alias {qualifier!r}") from None
-
-    def resolve_ref(self, ref: _RawRef, scope: ChainMap) -> ColumnRef:
-        col = ref.name.strip().lower()
-        if ref.qualifier is not None:
-            name, columns = self.lookup_qualifier(ref.qualifier, scope)
-            if col not in columns:
-                raise ResolutionError(f"no column {ref.name!r} in {ref.qualifier!r}")
-            return ColumnRef(name, col)
-        for bound in scope.maps:
-            matches = [name for name, columns in bound.values() if col in columns]
-            if len(matches) > 1:
-                raise ResolutionError(f"ambiguous column name {ref.name!r}")
-            if matches:
-                return ColumnRef(matches[0], col)
-        raise ResolutionError(f"unresolvable column {ref.name!r}")
-
-    def resolve_tree(self, tree, scope: ChainMap):
-        if isinstance(tree, BoolNode):
-            return BoolNode(
-                tree.op, tuple(self.resolve_tree(c, scope) for c in tree.children)
-            )
-        assert isinstance(tree, Predicate)
-        lhs = self.resolve_expr(tree.lhs, scope) if tree.lhs is not None else None
-        rhs = tree.rhs
-        if isinstance(rhs, _RawQuery):
-            rhs = self.resolve_query(rhs, scope)
-        elif isinstance(rhs, tuple) and tree.op == "between":
-            rhs = tuple(self.resolve_expr(v, scope) for v in rhs)
-        elif isinstance(rhs, tuple):
-            pass  # IN lists hold literals only
-        else:
-            rhs = self.resolve_expr(rhs, scope)
-        return Predicate(tree.op, lhs, rhs)
 
 
 def _and_parts(tree) -> list:
@@ -558,20 +569,28 @@ def parse_sql(query: str, catalog: DatabaseCatalog) -> QueryAst:
     Aliases are substituted by canonical table names and an unqualified
     column resolves to the one FROM entry of the innermost scope that has
     it. When several entries of that scope have it, the column is
-    ambiguous and rejected, as SQLite rejects it.
+    ambiguous and rejected, as SQLite rejects it. An ON condition may name
+    any entry of its FROM clause, a later one included.
 
-    Raises SqlParseError (with token position) on lexical or syntax
-    errors and ResolutionError when an identifier does not exist in the
-    catalog or is ambiguous; both are SqlError. A query nested too deeply
-    for the recursive descent is a SqlParseError at position 0.
+    Raises SqlParseError (with the position of the first offending token
+    in written order) on lexical or syntax errors, and otherwise
+    ResolutionError when an identifier does not exist in the catalog or is
+    ambiguous; both are SqlError. A query nested too deeply for the
+    recursive descent is a SqlParseError at position 0.
     """
-    parser = _Parser(tokenize(query))
+    tags, values = scan(query)
+    parser = _Parser(tags, values, catalog)
     try:
-        raw = parser.parse_query()
-        if parser.tag() == ";":
-            parser.take()
-        if parser.tag() != "END":
-            raise parser.error(f"unexpected trailing input {parser.peek().value!r}")
-        return _Resolver(catalog).resolve_query(raw, ChainMap())
+        try:
+            ast = parser.parse_statement()
+        except (_SyntaxError, RecursionError):
+            # FROM first met this error; written order may meet another first
+            _Parser(tags, values, catalog, written_order=True).parse_statement()
+            raise
+    except _SyntaxError as err:
+        raise SqlParseError(err.message, token_start(query, err.at)) from None
     except RecursionError:
         raise SqlParseError("query nested too deeply", 0) from None
+    if parser.held is not None:
+        raise parser.held
+    return ast

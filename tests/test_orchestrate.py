@@ -29,7 +29,7 @@ from linksql.orchestrate import (
     trace_link_target,
     write_traces,
 )
-from linksql.promptgen import build_prompt, serialize_link_target
+from linksql.promptgen import prompt_parts, serialize_link_target
 from linksql.sqlast import LinkTarget, extract_link_targets, parse_sql
 
 
@@ -331,7 +331,7 @@ def test_full_mode_shape(split100, catalogs, oracle_answers):
         assert not trace.fallback_full_schema
         assert set(trace.resolved_tables) == set(catalogs[ex.db_id].table_names)
         assert trace.resolved_columns == ()
-        assert trace.stage2_prompt == build_prompt("full", ex.question, catalogs[ex.db_id])
+        assert trace.stage2_prompt == "\n\n".join(prompt_parts("full", ex.question, catalogs[ex.db_id]))
         assert trace.extracted_sql == ex.gold_sql
         assert trace.error is None
 
@@ -392,7 +392,7 @@ def test_dts_garbage_linker_falls_back_to_full_schema(split100, catalogs, oracle
     for trace, ex in zip(traces, split.examples):
         assert trace.fallback_full_schema
         assert set(trace.resolved_tables) == set(catalogs[ex.db_id].table_names)
-        assert trace.stage2_prompt == build_prompt("full", ex.question, catalogs[ex.db_id])
+        assert trace.stage2_prompt == "\n\n".join(prompt_parts("full", ex.question, catalogs[ex.db_id]))
         assert trace.extracted_sql == ex.gold_sql  # generation still succeeds
 
 
@@ -416,7 +416,7 @@ def test_oracle_link_unusable_gold_falls_back_to_full_schema(split100, catalogs,
     assert trace.error.startswith("gold SQL unusable for linking")
     assert set(trace.resolved_tables) == set(cat.table_names)
     assert trace.resolved_columns == ()
-    assert trace.stage2_prompt == build_prompt("full", ex.question, cat)
+    assert trace.stage2_prompt == "\n\n".join(prompt_parts("full", ex.question, cat))
     assert trace.extracted_sql == "SELECT 1"
 
 

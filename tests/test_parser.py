@@ -1,4 +1,6 @@
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,6 +310,10 @@ def _exists_lhs(ast):
     return ast.where_tree.rhs.where_tree.lhs
 
 
+def _joins(ast):
+    return ast.join_conditions
+
+
 # Each row is what SQLite 3.40 does with the query on the venue_events
 # database: the error it reports, or the node the name is bound to.
 @pytest.mark.parametrize(
@@ -332,6 +338,18 @@ def _exists_lhs(ast):
         # an alias hides the table name it stands for
         ("SELECT Name FROM Venue AS v WHERE Venue.Capacity > 1", None,
          "unknown table or alias 'Venue'"),
+        # an inner-join ON may name a table joined after it
+        ("SELECT Venue.Name FROM Venue JOIN Event ON Event.Venue_ID = Venue.Venue_ID"
+         " AND Performance.Event_ID = Event.Event_ID JOIN Performance ON Performance.Artist_ID = 1",
+         _joins,
+         frozenset({
+             JoinPair.of(ColumnRef("event", "venue_id"), ColumnRef("venue", "venue_id")),
+             JoinPair.of(ColumnRef("performance", "event_id"), ColumnRef("event", "event_id")),
+         })),
+        # ... so an unqualified ON column is ambiguous against later entries too
+        ("SELECT Venue.Name FROM Venue JOIN Event ON Event_ID = Venue.Venue_ID"
+         " JOIN Performance ON Performance.Event_ID = Event.Event_ID", None,
+         "ambiguous column name 'Event_ID'"),
     ],
 )
 def test_scope_rules(cat, sql, part, expected):
@@ -362,11 +380,34 @@ def test_scope_rules(cat, sql, part, expected):
         "SELECT Name FROM (SELECT City FROM Venue",
         "SELECT ² FROM Venue",  # a digit, but not a decimal one
         "SELECT Name FROM Venue LIMIT ²",
+        # a syntax error wins over a name error
+        "SELECT Nothing FROM Venue WHERE",
+        "SELECT Name FROM Nowhere LIMIT many",
     ],
 )
 def test_syntax_rejected(cat, sql):
     with pytest.raises(SqlParseError):
         parse_sql(sql, cat)
+
+
+@pytest.mark.parametrize(
+    "sql, message",
+    [
+        ("SELECT Name FROM Venue LIMIT many", "LIMIT expects a non-negative integer (at position 29)"),
+        ("SELECT ² FROM Venue", "unexpected character '²' (at position 7)"),
+        ("SELECT Name FROM Venue WHERE City = 'x", "unterminated string literal (at position 36)"),
+        ("SELECT Name, FROM Venue", "unexpected token 'from' in expression (at position 13)"),
+        ("SELECT Name Venue", "expected FROM, found 'Venue' (at position 12)"),
+        # the first error in written order, wherever names are resolved first
+        ("SELECT Name, FROM", "unexpected token 'from' in expression (at position 13)"),
+        ("SELECT Name FROM Venue JOIN Event ON Venue.Venue_ID IN (SELECT FROM Event) JOIN",
+         "unexpected token 'from' in expression (at position 63)"),
+    ],
+)
+def test_syntax_error_position(cat, sql, message):
+    with pytest.raises(SqlParseError) as info:
+        parse_sql(sql, cat)
+    assert str(info.value) == message
 
 
 # position: (head, opening, innermost, closing, tail)
@@ -390,6 +431,21 @@ def test_deep_nesting_is_a_parse_error(cat, position):
         parse_sql(_nested(position, 2000), cat)
     assert str(info.value) == "query nested too deeply (at position 0)"
     assert info.value.pos == 0
+
+
+def test_parse_is_linear_in_on_nested_subqueries(cat):
+    # Each level nests the last in an ON condition. Parsing an ON condition
+    # twice, once for syntax and once for names, would double the work per
+    # level, so each depth is timed on its own and the first slow one fails.
+    sql = "SELECT Venue.Venue_ID FROM Venue"
+    for depth in range(1, 41):
+        sql = f"SELECT Venue.Venue_ID FROM Venue JOIN Event ON Venue.Venue_ID IN ({sql})"
+        start = time.perf_counter()
+        ast = parse_sql(sql, cat)
+        assert time.perf_counter() - start < 1.0, depth
+    for _ in range(40):
+        ast = ast.where_tree.rhs
+    assert ast.where_tree is None and ast.from_order == ("venue",)
 
 
 @pytest.mark.parametrize(
@@ -468,6 +524,9 @@ _NESTED_TEXT = st.builds(
 def test_parse_sql_returns_an_ast_or_raises_sql_error(catalogs, sql):
     try:
         ast = parse_sql(sql, catalogs["venue_events"])
+    except SqlParseError as err:
+        assert 0 <= err.pos <= len(sql)
+        return
     except SqlError:
         return
     assert isinstance(ast, QueryAst)

@@ -14,7 +14,6 @@ from linksql.ingest import db_file_for
 from linksql.promptgen import (
     STAGES,
     PromptTemplateSet,
-    build_prompt,
     emit_sft_dataset,
     prompt_parts,
     render_schema,
@@ -211,11 +210,6 @@ def test_unknown_stage_rejected(catalogs):
         prompt_parts("other", "q", catalogs["venue_events"])
 
 
-def test_build_prompt_joins_system_and_body(catalogs):
-    system, body = prompt_parts("full", "q", catalogs["venue_events"])
-    assert build_prompt("full", "q", catalogs["venue_events"]) == f"{system}\n\n{body}"
-
-
 def test_question_with_braces_survives(catalogs):
     _, body = prompt_parts("full", "what {is} {this}?", catalogs["venue_events"])
     assert "Question: what {is} {this}?" in body
@@ -289,6 +283,17 @@ def test_emit_dataset_stages(stage, split100, catalogs, tmp_path):
         assert row["example_id"] == ex.example_id
         assert row["stage"] == stage
         assert row["db_id"] == ex.db_id
+
+
+def test_emit_prompt_joins_system_and_body(split100, catalogs, tmp_path):
+    for stage in STAGES:
+        out = tmp_path / f"{stage}.jsonl"
+        emit_sft_dataset(split100.examples[:5], catalogs, stage, out)
+        for row, ex in zip(_read_jsonl(out), split100.examples[:5]):
+            cat = catalogs[ex.db_id]
+            tables = extract_link_targets(parse_sql(ex.gold_sql, cat)).tables
+            system, body = prompt_parts(stage, ex.question, cat, tables if stage == "gen" else None)
+            assert row["prompt"] == f"{system}\n\n{body}"
 
 
 def test_emit_full_and_gen_completions_are_gold(split100, catalogs, tmp_path):
