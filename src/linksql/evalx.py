@@ -1,16 +1,20 @@
 """Exact set match and execution accuracy, plus corpus-level reports.
 
 Execution accuracy compares result tables after canonicalizing every
-cell to a hashable key: NULLs compare equal to each other, integers and
-integral reals unify exactly, and a non-integral real becomes its
-seven-significant-digit spelling ``f"{x:.6e}"``. That is quantization,
-not a tolerance: two reals share a key iff they round to the same
-spelling, so values 1e-14 apart can straddle a rounding boundary
-(1.0000005 and 1.00000049999999 differ) while values 4e-7 apart can
-share one. Unlike a tolerance it is transitive, which keeps multiset
-comparison well defined. Column order is free: two result tables count
-as identical when some single column permutation aligns them, matching
-the set treatment of select items.
+cell to a hashable key. NULL, integer, text and blob cells keep the
+value SQLite gave, so NULLs compare equal to each other and never to 0
+or ''. An integral real below 1e15 becomes the integer, so 2.0 and 2
+unify exactly, and any other real becomes ``("f", f"{x:.6e}")``, its
+seven-significant-digit spelling. That is quantization, not a
+tolerance: two reals share a key iff they round to the same spelling,
+so values 1e-14 apart can straddle a rounding boundary (1.0000005 and
+1.00000049999999 differ) while values 4e-7 apart can share one. Unlike
+a tolerance it is transitive, which keeps multiset comparison well
+defined. Column order is free: two result tables count as identical
+when some single column permutation aligns them, matching the set
+treatment of select items. When the gold fixes its row order that
+needs no search: a permutation aligns the rows as sequences iff it
+aligns every column, so the two multisets of columns must be equal.
 """
 
 from __future__ import annotations
@@ -104,19 +108,11 @@ class _Timeout(Exception):
 
 
 def _cell_key(value):
-    if value is None:
-        return ("null",)
-    if isinstance(value, bool):
-        value = int(value)
-    if isinstance(value, int):
-        return ("num", "i", value)
     if isinstance(value, float):
         if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
-            return ("num", "i", int(value))
-        return ("num", "f", f"{value:.6e}")
-    if isinstance(value, bytes):
-        return ("bytes", value.hex())
-    return ("text", str(value))
+            return int(value)
+        return ("f", f"{value:.6e}")
+    return value
 
 
 # Authorizer actions a query needs to read. Any other action (a pragma,
@@ -200,11 +196,6 @@ class ConnectionSet:
         self.close()
 
 
-def _column_views(rows: list[tuple]) -> list[tuple]:
-    ncols = len(rows[0])
-    return [tuple(r[j] for r in rows) for j in range(ncols)]
-
-
 def _tables_equal(
     pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool, deadline: float
 ) -> bool:
@@ -213,55 +204,36 @@ def _tables_equal(
     ``deadline`` (a ``time.monotonic()`` value) passes during the search."""
     if pred_rows == gold_rows:
         return True  # the identity permutation aligns them
-    if len(pred_rows) != len(gold_rows):
+    if len(pred_rows) != len(gold_rows) or len(pred_rows[0]) != len(gold_rows[0]):
         return False
-    if not gold_rows:
-        return True
-    if len(pred_rows[0]) != len(gold_rows[0]):
-        return False
-    ncols = len(gold_rows[0])
-    pred_cols = _column_views(pred_rows)
-    gold_cols = _column_views(gold_rows)
+    pred_cols = list(zip(*pred_rows))
+    gold_cols = list(zip(*gold_rows))
+    if ordered:
+        return Counter(pred_cols) == Counter(gold_cols)
 
-    def cols_compatible(p: tuple, g: tuple) -> bool:
-        return p == g if ordered else Counter(p) == Counter(g)
-
-    candidates = [
-        [j for j in range(ncols) if cols_compatible(pred_cols[j], gold_cols[k])]
-        for k in range(ncols)
-    ]
-    if any(not c for c in candidates):
-        return False
-    # Fill gold columns starting with the most constrained one.
-    fill_order = sorted(range(ncols), key=lambda k: len(candidates[k]))
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def verify() -> bool:
-        if ordered:
-            # Column-wise sequence equality already implies row equality.
-            return True
-        permuted = [tuple(row[assignment[k]] for k in range(ncols)) for row in pred_rows]
-        return Counter(permuted) == Counter(gold_rows)
-
-    def backtrack(i: int) -> bool:
+    # Gold columns are placed in written order; a prediction column is kept
+    # only when the rows projected onto the columns placed so far form the
+    # same multiset as gold's projection onto its first ones. Columns with
+    # equal contents lead to the same subtree, so each is tried once.
+    def extend(chosen: list[int]) -> bool:
         if time.monotonic() > deadline:
             raise _Timeout()
-        if i == ncols:
-            return verify()
-        k = fill_order[i]
-        for j in candidates[k]:
-            if j in used:
+        depth = len(chosen)
+        if depth == len(gold_cols):
+            return True
+        want = Counter(zip(*gold_cols[: depth + 1]))
+        tried = set()
+        for j, col in enumerate(pred_cols):
+            if j in chosen or col in tried:
                 continue
-            used.add(j)
-            assignment[k] = j
-            if backtrack(i + 1):
+            tried.add(col)
+            if Counter(zip(*(pred_cols[i] for i in chosen), col)) == want and extend(
+                chosen + [j]
+            ):
                 return True
-            used.remove(j)
-            del assignment[k]
         return False
 
-    return backtrack(0)
+    return extend([])
 
 
 def ex_with_detail(
@@ -373,8 +345,11 @@ def evaluate_split(
     link target, and queries run on one read-only connection per database
     file. Gold outside the dialect is quarantined, gold that fails to
     execute is invalid, and examples without a database file are skipped;
-    none of them count. Raises ValueError when no example is left.
+    none of them count. Raises ValueError when ``timeout_ms`` is not
+    positive and when no example is left.
     """
+    if timeout_ms <= 0:
+        raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
     verdicts = []
     linking_scores = []
     quarantined = []

@@ -76,6 +76,10 @@ class EndpointConfig:
             raise ValueError("model_name is required")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
+        if self.request_timeout_ms <= 0:
+            raise ValueError("request_timeout_ms must be > 0")
         if self.max_parallel_requests < 1:
             raise ValueError("max_parallel_requests must be >= 1")
         if self.max_retries < 0:

@@ -13,6 +13,7 @@ the select list and ``count(*)`` in HAVING are the same node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 AGGREGATES = ("count", "sum", "avg", "min", "max")
@@ -46,8 +47,9 @@ class ColumnRef:
 class Literal:
     """A literal value with a canonical text form.
 
-    Numbers are normalized to their shortest decimal spelling; strings keep
-    their original case with the quotes stripped.
+    Numbers are normalized to their shortest decimal spelling, and one
+    beyond the float range to ``1e999`` or ``-1e999``, which parse back;
+    strings keep their original case with the quotes stripped.
     """
 
     kind: str  # "num" | "str"
@@ -58,6 +60,8 @@ class Literal:
         value = float(raw)
         if value.is_integer() and abs(value) < 1e15:
             return cls("num", str(int(value)))
+        if math.isinf(value):
+            return cls("num", "-1e999" if value < 0 else "1e999")
         return cls("num", repr(value))
 
     @classmethod

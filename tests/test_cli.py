@@ -184,6 +184,52 @@ def test_infer_rejects_base_url_without_scheme(fixture_paths, split_file, tmp_pa
     assert not traces.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--request-timeout-ms", "-5", "request_timeout_ms must be > 0"),
+     ("--max-output-tokens", "0", "max_output_tokens must be >= 1")],
+)
+def test_infer_rejects_a_limit_below_one(
+    fixture_paths, split_file, tmp_path, capsys, flag, value, message
+):
+    traces = tmp_path / "traces.jsonl"
+    rc = main(
+        ["infer", *data_args(fixture_paths, split_file),
+         "--mode", "dts",
+         "--base-url", "http://127.0.0.1:9/v1",
+         "--model", "m",
+         flag, value,
+         "--out", str(traces)]
+    )
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not traces.exists()
+
+
+def test_eval_rejects_a_timeout_below_one(fixture_paths, tmp_path, capsys):
+    # SQLite checks the deadline once per 1000 steps, so a timeout of zero
+    # or less used to pass small queries and time out large ones
+    examples = tmp_path / "dev.json"
+    examples.write_text(
+        json.dumps(
+            [{"question": "q", "query": "SELECT Name FROM Venue", "db_id": "venue_events"}]
+        ),
+        encoding="utf-8",
+    )
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(json.dumps(_trace(0)) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "scores"
+    rc = main(
+        ["eval", *data_args(fixture_paths, examples),
+         "--traces", str(traces),
+         "--timeout-ms", "-5",
+         "--out-dir", str(out_dir)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: timeout_ms must be > 0, got -5\n"
+    assert not out_dir.exists()
+
+
 def test_eval_rejects_unknown_metric(fixture_paths, split_file, tmp_path):
     rc = main(
         ["eval", *data_args(fixture_paths, split_file),

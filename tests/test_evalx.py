@@ -155,11 +155,11 @@ def _tables(ncols: int):
 def _table_pairs(draw):
     """(pred_rows, gold_rows): gold drawn, pred drawn afresh or derived from
     gold by shuffling its rows and columns and perhaps changing one cell."""
-    ncols = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 5))
     gold = draw(_tables(ncols))
     how = draw(st.sampled_from(("drawn", "identical", "rows", "columns", "both", "one cell")))
     if how == "drawn":
-        return draw(_tables(draw(st.integers(1, 4)))), gold
+        return draw(_tables(draw(st.integers(1, 5)))), gold
     pred = list(gold)
     if how in ("rows", "both", "one cell"):
         pred = draw(st.permutations(pred))
@@ -303,23 +303,74 @@ def test_ex_pred_timeout_detail(scratch_db, conns):
     assert elapsed < 5
 
 
-def test_permutation_search_counts_against_the_deadline(tmp_path, conns):
-    """Nine columns hold the same 40 values, each rotated by a triangular
-    number. Every column has every other's multiset, but the shifts of
-    c1..c8 are not those of c0..c7 plus a constant, so no permutation
-    aligns the rows and an unbounded search would try all 8! of them."""
-    shifts = [i * (i + 1) // 2 for i in range(9)]
-    path = tmp_path / "rotations.sqlite"
+def _table_db(path, rows):
+    """A database with one table ``r`` holding ``rows`` in columns c0, c1, ..."""
+    width = len(rows[0])
     conn = sqlite3.connect(path)
-    conn.execute(f"CREATE TABLE r ({', '.join(f'c{i}' for i in range(9))})")
-    conn.executemany(
-        f"INSERT INTO r VALUES ({', '.join('?' * 9)})",
-        [[(row + s) % 40 for s in shifts] for row in range(40)],
-    )
+    conn.execute(f"CREATE TABLE r ({', '.join(f'c{i}' for i in range(width))})")
+    conn.executemany(f"INSERT INTO r VALUES ({', '.join('?' * width)})", rows)
     conn.commit()
     conn.close()
-    gold = f"SELECT {', '.join(f'c{i}' for i in range(8))} FROM r"
-    pred = f"SELECT {', '.join(f'c{i}' for i in range(1, 9))} FROM r"
+    return path
+
+
+def _select(columns):
+    return f"SELECT {', '.join(f'c{i}' for i in columns)} FROM r"
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_rotation_probe_is_decided_within_the_deadline(tmp_path, conns, k):
+    """k+1 columns hold the same 40 values, each rotated by a triangular
+    number. Every column has every other's multiset, but the shifts of
+    c1..ck are not those of c0..c(k-1) plus a constant, so no permutation
+    aligns the rows. A search that compares only whole rows tries all k!
+    orders; comparing the rows projected onto the columns placed so far
+    rejects most orders after two columns."""
+    shifts = [i * (i + 1) // 2 for i in range(k + 1)]
+    rows = [[(row + s) % 40 for s in shifts] for row in range(40)]
+    path = _table_db(tmp_path / "rotations.sqlite", rows)
+    gold = _select(range(k))
+    rotated = _select(range(1, k + 1))
+    shuffled = _select(reversed(range(k))) + " ORDER BY c1 DESC"
+    start = time.monotonic()
+    assert ex_with_detail(rotated, gold, path, conns, ordered=False, timeout_ms=1000) == (
+        False,
+        "result_mismatch",
+    )
+    assert ex_with_detail(shuffled, gold, path, conns, ordered=False, timeout_ms=1000) == (
+        True,
+        None,
+    )
+    assert time.monotonic() - start < 0.5
+
+
+def test_equal_columns_are_tried_once(tmp_path, conns):
+    """Nine equal columns and one odd column; the prediction's odd column
+    holds gold's values on other rows, so every order of the nine equal
+    columns matches until the last column is placed. Trying each distinct
+    column once per depth keeps that to one order instead of 9!."""
+    rows = [[i % 3] * 9 + [i, (i + 1) % 30] for i in range(30)]
+    path = _table_db(tmp_path / "equal.sqlite", rows)
+    gold = _select(range(10))
+    pred = _select([10, *range(9)])
+    start = time.monotonic()
+    assert ex_with_detail(pred, gold, path, conns, ordered=False, timeout_ms=1000) == (
+        False,
+        "result_mismatch",
+    )
+    assert time.monotonic() - start < 0.5
+
+
+def test_permutation_search_counts_against_the_deadline(tmp_path, conns):
+    """Eight 0/1 columns: gold holds the 128 rows of even parity and the
+    prediction the 128 of odd parity. Dropping any one column maps either
+    set onto all 128 patterns of the other seven, so every projection
+    short of all eight columns matches and the search cannot stop before
+    it has tried all 8! orders."""
+    rows = [[(n >> b) & 1 for b in range(8)] + [bin(n).count("1") % 2] for n in range(256)]
+    path = _table_db(tmp_path / "parity.sqlite", rows)
+    gold = _select(range(8)) + " WHERE c8 = 0"
+    pred = _select(range(8)) + " WHERE c8 = 1"
     start = time.monotonic()
     assert ex_with_detail(pred, gold, path, conns, ordered=False, timeout_ms=200) == (
         False,

@@ -494,6 +494,15 @@ def test_integer_spellings_equivalent(catalogs, n):
     assert exact_set_match(a, b)
 
 
+@pytest.mark.parametrize("number, text", [("1e999", "1e999"), ("-2e400", "-1e999")])
+def test_literal_beyond_float_range_roundtrips(catalogs, number, text):
+    # it used to render as inf and -inf, which do not parse back
+    cat = catalogs["venue_events"]
+    ast = parse_sql(f"SELECT Name FROM Venue WHERE Capacity > {number}", cat)
+    assert ast.where_tree.rhs == Literal("num", text)
+    assert parse_sql(render_sql(ast), cat) == ast
+
+
 _SAFE_TEXT = st.text(
     alphabet=st.characters(blacklist_characters="'", blacklist_categories=("Cs", "Cc")),
     min_size=0,
