@@ -257,8 +257,8 @@ def attach_samples(
 
     Rows are the first rows in physical storage order (by rowid). Schema
     structure is never modified. A table missing from the database file
-    yields a warning and an empty sample list; an unreadable file raises
-    OSError.
+    yields a warning and an empty sample list; an unreadable file, or one
+    that is not an SQLite database, raises OSError.
     """
     path = Path(db_file)
     if not path.is_file():
@@ -275,6 +275,8 @@ def attach_samples(
             replace(t, sample_rows=_fetch_samples(conn, t, max_rows, catalog.db_id))
             for t in catalog.tables
         )
+    except sqlite3.DatabaseError as e:
+        raise OSError(f"cannot read database file {path}: {e}") from e
     finally:
         conn.close()
     return replace(catalog, tables=tables)

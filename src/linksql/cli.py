@@ -1,7 +1,8 @@
 """Command-line entry point: prepare / infer / eval / report subcommands.
 
 Exit codes: 0 on success (model-side failures included), 1 on usage
-errors, 2 on infrastructure errors (unreadable files, bad configs).
+errors, 2 on infrastructure errors (unreadable files, bad configs, an
+endpoint that failed every example of an ``infer`` run).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import sys
 from pathlib import Path
 
 from . import evalx
-from .catalog import CatalogError, attach_samples, load_catalogs
-from .ingest import db_file_for, load_split
+from .catalog import CatalogError, load_catalogs
+from .ingest import load_split
 from .orchestrate import MODES, EndpointConfig, read_traces, run_pipeline, trace_link_target
 from .promptgen import STAGES, PromptTemplateSet, emit_sft_dataset
 
@@ -59,12 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-url", required=True, help="endpoint base URL")
     p.add_argument("--model", required=True, help="model name sent to the endpoint")
     p.add_argument("--out", required=True, help="output trace JSONL path")
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--max-output-tokens", type=int, default=512)
-    p.add_argument("--request-timeout-ms", type=int, default=60000)
-    p.add_argument("--max-parallel", type=int, default=4)
-    p.add_argument("--max-retries", type=int, default=2)
-    p.add_argument("--backoff-seconds", type=float, default=0.5)
+    p.add_argument("--temperature", type=float, default=EndpointConfig.temperature)
+    p.add_argument("--max-output-tokens", type=int, default=EndpointConfig.max_output_tokens)
+    p.add_argument("--request-timeout-ms", type=int, default=EndpointConfig.request_timeout_ms)
+    p.add_argument("--max-parallel", type=int, default=EndpointConfig.max_parallel_requests)
+    p.add_argument("--max-retries", type=int, default=EndpointConfig.max_retries)
+    p.add_argument("--backoff-seconds", type=float, default=EndpointConfig.backoff_seconds)
 
     p = sub.add_parser("eval", help="score a trace file against gold")
     _add_data_args(p)
@@ -85,21 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_catalogs_indexed(tables_file: str, db_root: str, sample_rows: int) -> dict:
-    catalogs = {}
-    for catalog in load_catalogs(tables_file):
-        db_file = db_file_for(db_root, catalog.db_id)
-        if sample_rows > 0 and db_file.is_file():
-            catalog = attach_samples(catalog, db_file, max_rows=sample_rows)
-        catalogs[catalog.db_id] = catalog
-    return catalogs
-
-
 def _cmd_prepare(args) -> int:
-    catalogs = _load_catalogs_indexed(args.tables, args.db_root, args.with_samples)
-    split = load_split(args.examples, catalogs, args.db_root)
+    catalogs = {c.db_id: c for c in load_catalogs(args.tables)}
+    split = load_split(args.examples, catalogs, args.db_root, sample_rows=args.with_samples)
     templates = PromptTemplateSet.load(args.generation_template, args.linking_template)
-    manifest = emit_sft_dataset(split.examples, catalogs, args.stage, args.out, templates)
+    manifest = emit_sft_dataset(split.examples, args.stage, args.out, templates)
     print(
         f"wrote {manifest['count']} records to {args.out}"
         f" ({len(manifest['quarantined'])} quarantined)"
@@ -111,8 +102,8 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    catalogs = _load_catalogs_indexed(args.tables, args.db_root, args.with_samples)
-    split = load_split(args.examples, catalogs, args.db_root)
+    catalogs = {c.db_id: c for c in load_catalogs(args.tables)}
+    split = load_split(args.examples, catalogs, args.db_root, sample_rows=args.with_samples)
     templates = PromptTemplateSet.load(args.generation_template, args.linking_template)
     config = EndpointConfig(
         base_url=args.base_url,
@@ -125,11 +116,15 @@ def _cmd_infer(args) -> int:
         backoff_seconds=args.backoff_seconds,
     )
     mode = args.mode.replace("-", "_")
-    traces = run_pipeline(
-        mode, split, catalogs, templates, config, trace_path=args.out
-    )
-    failures = sum(t.error is not None for t in traces)
-    print(f"traced {len(traces)} examples to {args.out} ({failures} failures)")
+    traces = run_pipeline(mode, split, templates, config, trace_path=args.out)
+    failures = [t.error for t in traces if t.error is not None]
+    print(f"traced {len(traces)} examples to {args.out} ({len(failures)} failures)")
+    if traces and len(failures) == len(traces):
+        print(
+            f"error: every example failed at the endpoint (first: {failures[0]})",
+            file=sys.stderr,
+        )
+        return 2
     return 0
 
 
@@ -138,13 +133,12 @@ def _cmd_eval(args) -> int:
     unknown = metrics - {"ex", "em", "link"}
     if unknown:
         raise ValueError(f"unknown metrics: {', '.join(sorted(unknown))}")
-    catalogs = _load_catalogs_indexed(args.tables, args.db_root, 0)
+    catalogs = {c.db_id: c for c in load_catalogs(args.tables)}
     split = load_split(args.examples, catalogs, args.db_root)
     traces = read_traces(args.traces, split)
     report = evalx.evaluate_split(
         traces[0]["mode"],
         split,
-        catalogs,
         {t["example_id"]: t["extracted_sql"] for t in traces},
         predicted_links=(
             {t["example_id"]: trace_link_target(t) for t in traces} if "link" in metrics else None

@@ -329,7 +329,6 @@ def evaluate_pair(
 def evaluate_split(
     mode: str,
     split: Split,
-    catalogs: Mapping[str, DatabaseCatalog],
     predictions: Mapping[str, str],
     *,
     predicted_links: Mapping[str, LinkTarget] | None = None,
@@ -357,9 +356,8 @@ def evaluate_split(
     skipped = []
     with ConnectionSet() as connections:
         for ex in split.examples:
-            catalog = catalogs[ex.db_id]
             try:
-                gold_ast = parse_sql(ex.gold_sql, catalog)
+                gold_ast = parse_sql(ex.gold_sql, ex.catalog)
             except SqlError:
                 quarantined.append(ex.example_id)
                 continue
@@ -372,7 +370,7 @@ def evaluate_split(
                     predictions[ex.example_id],
                     ex.gold_sql,
                     gold_ast,
-                    catalog,
+                    ex.catalog,
                     ex.db_file,
                     connections,
                     ignore_values=ignore_values,

@@ -7,7 +7,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import DatabaseCatalog
+from .catalog import DatabaseCatalog, attach_samples
 
 log = logging.getLogger(__name__)
 
@@ -17,8 +17,12 @@ class Example:
     example_id: str
     question: str
     gold_sql: str
-    db_id: str
+    catalog: DatabaseCatalog
     db_file: Path | None  # None: no database file, execution-ineligible
+
+    @property
+    def db_id(self) -> str:
+        return self.catalog.db_id
 
 
 @dataclass(frozen=True)
@@ -36,14 +40,18 @@ def load_split(
     catalogs: dict[str, DatabaseCatalog],
     db_root: str | Path,
     name: str | None = None,
+    sample_rows: int = 0,
 ) -> Split:
     """Read a JSON array of {question, query, db_id} records, in order.
 
     Each record must be an object whose three fields are strings; extra
     fields are ignored. Any record naming a db_id without a loaded catalog
-    aborts the load, listing every offender. Each db_id's database file is
-    looked up once; a missing one is warned about once and leaves that
-    database's examples execution-ineligible.
+    aborts the load, listing every offender. Each database the split names
+    is bound once: its file is looked up, and with ``sample_rows`` > 0 its
+    catalog gets that many sample rows per table from the file. Every
+    example of a database shares that one (catalog, file) pair. A missing
+    file is warned about once and leaves the database's examples
+    execution-ineligible and without samples.
     """
     examples_file = Path(examples_file)
     split_name = name if name is not None else examples_file.stem
@@ -53,7 +61,7 @@ def load_split(
         raise ValueError(f"{examples_file}: expected a JSON array of examples")
     examples = []
     unknown = set()
-    db_files: dict[str, Path | None] = {}
+    bound: dict[str, tuple[DatabaseCatalog, Path | None]] = {}
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ValueError(f"{examples_file}: record {i} is not a JSON object")
@@ -66,20 +74,18 @@ def load_split(
         if db_id not in catalogs:
             unknown.add(db_id)
             continue
-        if db_id not in db_files:
+        if db_id not in bound:
+            catalog = catalogs[db_id]
             db_file = db_file_for(db_root, db_id)
             if not db_file.is_file():
                 log.warning("no database file for %s (%s)", db_id, db_file)
                 db_file = None
-            db_files[db_id] = db_file
+            elif sample_rows > 0:
+                catalog = attach_samples(catalog, db_file, max_rows=sample_rows)
+            bound[db_id] = catalog, db_file
+        catalog, db_file = bound[db_id]
         examples.append(
-            Example(
-                example_id=f"{split_name}:{i}",
-                question=rec["question"],
-                gold_sql=rec["query"],
-                db_id=db_id,
-                db_file=db_files[db_id],
-            )
+            Example(f"{split_name}:{i}", rec["question"], rec["query"], catalog, db_file)
         )
     if unknown:
         raise ValueError(f"{examples_file}: db_ids without catalogs: {', '.join(sorted(unknown))}")

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
 
-from .catalog import DatabaseCatalog
 from .ingest import Split
 from .linker import parse_linker_output
 from .promptgen import PromptTemplateSet, link_fields, prompt_parts
@@ -280,7 +279,6 @@ def extract_sql(completion: str) -> str:
 def run_pipeline(
     mode: str,
     split: Split,
-    catalogs: dict[str, DatabaseCatalog],
     templates: PromptTemplateSet | None = None,
     config: EndpointConfig | None = None,
     trace_path: str | Path | None = None,
@@ -313,7 +311,7 @@ def run_pipeline(
             return "", str(err)
 
     def work(ex) -> TwoStageTrace:
-        catalog = catalogs[ex.db_id]
+        catalog = ex.catalog
         wall: dict[str, float] = {}
         errors: list[str] = []
         stage1_prompt = stage1_completion = None

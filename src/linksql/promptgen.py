@@ -233,17 +233,17 @@ def prompt_parts(
 
 def emit_sft_dataset(
     examples,
-    catalogs: dict[str, DatabaseCatalog],
     stage: str,
     out: str | Path,
     templates: PromptTemplateSet | None = None,
 ) -> dict:
     """Write one JSONL record per example; return the manifest.
 
-    Examples need example_id / question / gold_sql / db_id attributes. Gold
-    SQL outside the supported dialect quarantines the example (id listed
-    in the manifest, nothing written) and never aborts the run. The
-    manifest {count, quarantined, sha256} is also written next to ``out``.
+    Examples need example_id / question / gold_sql / catalog / db_id
+    attributes, as ``ingest.Example`` has them. Gold SQL outside the
+    supported dialect quarantines the example (id listed in the manifest,
+    nothing written) and never aborts the run. The manifest {count,
+    quarantined, sha256} is also written next to ``out``.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
@@ -255,9 +255,7 @@ def emit_sft_dataset(
     count = 0
     with out.open("w", encoding="utf-8") as fh:
         for ex in examples:
-            if ex.db_id not in catalogs:
-                raise ValueError(f"example {ex.example_id}: unknown db_id {ex.db_id!r}")
-            catalog = catalogs[ex.db_id]
+            catalog = ex.catalog
             try:
                 ast = parse_sql(ex.gold_sql, catalog)
             except SqlError as err:

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -27,6 +28,15 @@ def catalogs_sampled(fixture_paths, catalogs):
         db_id: attach_samples(cat, db_file_for(fixture_paths["db_root_a"], db_id), 3)
         for db_id, cat in catalogs.items()
     }
+
+
+@pytest.fixture(scope="session")
+def corrupt_retail_root(fixture_paths, tmp_path_factory):
+    """A copy of the first database set whose retail file holds text."""
+    root = tmp_path_factory.mktemp("corrupt") / "dbs_bad"
+    shutil.copytree(fixture_paths["db_root_a"], root)
+    db_file_for(root, "retail").write_text("not an sqlite file\n", encoding="utf-8")
+    return root
 
 
 @pytest.fixture(scope="session")

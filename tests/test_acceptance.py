@@ -150,12 +150,12 @@ def test_criterion_3_reflexive_symmetric(catalogs, corpus, capsys):
 
 
 def test_criterion_4_oracle_link_upper_bound(
-    split100, catalogs, oracle_answers, capsys
+    split100, oracle_answers, capsys
 ):
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
-        traces = run_pipeline("oracle_link", split100, catalogs, config=_config(ep))
+        traces = run_pipeline("oracle_link", split100, config=_config(ep))
     predictions = {trace.example_id: trace.extracted_sql for trace in traces}
-    report = evaluate_split("oracle_link", split100, catalogs, predictions)
+    report = evaluate_split("oracle_link", split100, predictions)
     ok = report.n == 100 and report.ex_accuracy == 1.0 and report.em_accuracy == 1.0
     _verdict(
         capsys,
@@ -168,11 +168,11 @@ def test_criterion_4_oracle_link_upper_bound(
 
 
 def test_criterion_5_dts_collapses_to_oracle_link(
-    split100, catalogs, oracle_answers, capsys
+    split100, oracle_answers, capsys
 ):
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
-        dts = run_pipeline("dts", split100, catalogs, config=_config(ep))
-        oracle = run_pipeline("oracle_link", split100, catalogs, config=_config(ep))
+        dts = run_pipeline("dts", split100, config=_config(ep))
+        oracle = run_pipeline("oracle_link", split100, config=_config(ep))
     differing = sum(
         1
         for d, o in zip(dts, oracle)
@@ -194,7 +194,7 @@ def test_criterion_6_dataset_contract(split100, catalogs, corpus, tmp_path, caps
     by_question = {q.question: q for q in corpus}
 
     gen_out = tmp_path / "gen.jsonl"
-    emit_sft_dataset(split100.examples, catalogs, "gen", gen_out)
+    emit_sft_dataset(split100.examples, "gen", gen_out)
     gen_bad = 0
     for line in gen_out.read_text(encoding="utf-8").splitlines():
         row = json.loads(line)
@@ -207,7 +207,7 @@ def test_criterion_6_dataset_contract(split100, catalogs, corpus, tmp_path, caps
             gen_bad += 1
 
     full_out = tmp_path / "full.jsonl"
-    emit_sft_dataset(split100.examples, catalogs, "full", full_out)
+    emit_sft_dataset(split100.examples, "full", full_out)
     full_bad = 0
     for line in full_out.read_text(encoding="utf-8").splitlines():
         row = json.loads(line)
@@ -218,7 +218,7 @@ def test_criterion_6_dataset_contract(split100, catalogs, corpus, tmp_path, caps
             full_bad += 1
 
     rerun = tmp_path / "gen2.jsonl"
-    m1 = emit_sft_dataset(split100.examples, catalogs, "gen", rerun)
+    m1 = emit_sft_dataset(split100.examples, "gen", rerun)
     identical = rerun.read_bytes() == gen_out.read_bytes()
     m0 = json.loads((tmp_path / "gen.jsonl.manifest.json").read_text())
     ok = gen_bad == 0 and full_bad == 0 and identical and m0["sha256"] == m1["sha256"]

@@ -1,11 +1,14 @@
 import json
+import socket
 
 import pytest
 
 import mockserver
 from mockserver import MockEndpoint
 
-from linksql.cli import main
+from linksql.cli import build_parser, main
+from linksql.ingest import db_file_for
+from linksql.orchestrate import EndpointConfig
 
 
 @pytest.fixture
@@ -129,6 +132,68 @@ def test_prepare_sample_rows_in_prompts(fixture_paths, split_file, tmp_path):
     comment = first["prompt"].split("/*", 1)[1]
     assert "Sample rows from" in first["prompt"]
     assert "\t" in comment
+
+
+def test_prepare_on_a_database_file_that_is_not_sqlite_exit_2(
+    fixture_paths, corrupt_retail_root, tmp_path, capsys
+):
+    # used to escape attach_samples as a sqlite3.DatabaseError traceback (exit 1)
+    examples = tmp_path / "retail.json"
+    examples.write_text(
+        json.dumps([{"question": "q", "query": "SELECT 1", "db_id": "retail"}]), encoding="utf-8"
+    )
+    rc = main(
+        ["prepare", "--tables", str(fixture_paths["tables"]), "--examples", str(examples),
+         "--db-root", str(corrupt_retail_root), "--with-samples", "2",
+         "--stage", "full", "--out", str(tmp_path / "full.jsonl")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot read database file {db_file_for(corrupt_retail_root, 'retail')}" in err
+    assert "file is not a database" in err
+
+
+def test_infer_defaults_are_the_endpoint_config_defaults():
+    args = build_parser().parse_args(
+        ["infer", "--tables", "t", "--examples", "e", "--db-root", "d", "--mode", "dts",
+         "--base-url", "http://127.0.0.1:1/v1", "--model", "m", "--out", "o"]
+    )
+    config = EndpointConfig(
+        base_url=args.base_url,
+        model_name=args.model,
+        temperature=args.temperature,
+        max_output_tokens=args.max_output_tokens,
+        request_timeout_ms=args.request_timeout_ms,
+        max_parallel_requests=args.max_parallel,
+        max_retries=args.max_retries,
+        backoff_seconds=args.backoff_seconds,
+    )
+    assert config == EndpointConfig("http://127.0.0.1:1/v1", "m")
+
+
+def test_infer_exit_2_when_every_example_failed(fixture_paths, split100, tmp_path, capsys):
+    examples = tmp_path / "dev.json"
+    examples.write_text(
+        json.dumps(
+            [{"question": e.question, "query": e.gold_sql, "db_id": e.db_id}
+             for e in split100.examples[:3]]
+        ),
+        encoding="utf-8",
+    )
+    with socket.socket() as sock:  # a port nothing listens on once it is closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    traces = tmp_path / "traces.jsonl"
+    rc = main(
+        ["infer", *data_args(fixture_paths, examples),
+         "--mode", "dts", "--base-url", f"http://127.0.0.1:{port}/v1", "--model", "m",
+         "--out", str(traces), "--max-retries", "0"]
+    )
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == f"traced 3 examples to {traces} (3 failures)\n"
+    assert err.startswith("error: every example failed at the endpoint (first: stage1: ")
+    assert len(traces.read_text(encoding="utf-8").splitlines()) == 3
 
 
 def test_infer_eval_report_flow(fixture_paths, split_file, oracle_answers, tmp_path, capsys):

@@ -523,10 +523,10 @@ def test_evaluate_pair_result_mismatch(pair):
     assert v.failure_kind in FAILURE_KINDS
 
 
-def test_aggregate_math(catalogs, venue_split):
+def test_aggregate_math(venue_split):
     split = venue_split("SELECT Name FROM Venue", "SELECT Name FROM Venue")
     predictions = {"t:0": "SELECT Name FROM Venue", "t:1": "SELECT City FROM Venue"}
-    report = evaluate_split("full", split, catalogs, predictions, model_name="m1")
+    report = evaluate_split("full", split, predictions, model_name="m1")
     assert report.n == 2
     assert report.ex_accuracy == 0.5
     assert report.em_accuracy == 0.5
@@ -534,9 +534,9 @@ def test_aggregate_math(catalogs, venue_split):
     assert report.model == "m1"
 
 
-def test_aggregate_empty_rejected(catalogs):
+def test_aggregate_empty_rejected():
     with pytest.raises(ValueError, match="no evaluable examples"):
-        evaluate_split("full", Split("t", ()), catalogs, {})
+        evaluate_split("full", Split("t", ()), {})
 
 
 def test_verdict_roundtrip(pair, tmp_path):
@@ -582,10 +582,10 @@ def test_default_timeout_is_30s():
 
 # -- scoring a split -------------------------------------------------------
 
-def _split(db_root, rows) -> Split:
+def _split(catalogs, db_root, rows) -> Split:
     """Examples t:0, t:1, ... from rows of (db_id, gold SQL)."""
     examples = tuple(
-        Example(f"t:{i}", f"question {i}", gold, db_id, db_file_for(db_root, db_id))
+        Example(f"t:{i}", f"question {i}", gold, catalogs[db_id], db_file_for(db_root, db_id))
         for i, (db_id, gold) in enumerate(rows)
     )
     return Split("t", examples)
@@ -595,18 +595,17 @@ def _outcome(v):
     return (v.example_id, v.exact_match, v.execution_match, v.failure_kind)
 
 
-def _fresh(split, catalogs, predictions):
+def _fresh(split, predictions):
     """Per-example verdicts, each scored on connections of its own."""
     out = []
     for ex in split.examples:
-        cat = catalogs[ex.db_id]
         with ConnectionSet() as conns:
             v = evaluate_pair(
                 ex.example_id,
                 predictions[ex.example_id],
                 ex.gold_sql,
-                parse_sql(ex.gold_sql, cat),
-                cat,
+                parse_sql(ex.gold_sql, ex.catalog),
+                ex.catalog,
                 ex.db_file,
                 conns,
             )
@@ -651,7 +650,7 @@ def test_ambiguous_column_fails_em_as_it_fails_ex(cat, venue_db, conns):
 
 def test_evaluate_split_matches_evaluate_pair_on_corpus(corpus, catalogs, fixture_paths):
     picked = corpus[::3]
-    split = _split(fixture_paths["db_root_a"], [(q.db_id, q.sql) for q in picked])
+    split = _split(catalogs, fixture_paths["db_root_a"], [(q.db_id, q.sql) for q in picked])
     kinds = (
         lambda q: q.sql,
         lambda q: q.twin_sql or q.sql,
@@ -662,16 +661,18 @@ def test_evaluate_split_matches_evaluate_pair_on_corpus(corpus, catalogs, fixtur
         ex.example_id: kinds[i % len(kinds)](q)
         for i, (ex, q) in enumerate(zip(split.examples, picked))
     }
-    report = evaluate_split("dts", split, catalogs, predictions)
+    report = evaluate_split("dts", split, predictions)
     assert report.n == len(picked)
     kinds_seen = {v.failure_kind for v in report.verdicts}
     assert kinds_seen >= {None, "pred_exec_error", "result_mismatch", "component_mismatch"}
-    assert [_outcome(v) for v in report.verdicts] == _fresh(split, catalogs, predictions)
+    assert [_outcome(v) for v in report.verdicts] == _fresh(split, predictions)
 
 
 @pytest.fixture
-def venue_split(fixture_paths):
-    return lambda *golds: _split(fixture_paths["db_root_a"], [("venue_events", g) for g in golds])
+def venue_split(fixture_paths, catalogs):
+    return lambda *golds: _split(
+        catalogs, fixture_paths["db_root_a"], [("venue_events", g) for g in golds]
+    )
 
 
 def _first_venue_name(venue_db) -> str:
@@ -683,7 +684,7 @@ def _first_venue_name(venue_db) -> str:
 
 
 @pytest.mark.parametrize("polluter", ["temp_table", "pragma", "attach", "begin"])
-def test_connection_state_does_not_leak(polluter, catalogs, venue_split, venue_db):
+def test_connection_state_does_not_leak(polluter, venue_split, venue_db):
     name = _first_venue_name(venue_db)
     # (state-changing prediction, next gold, next prediction): the next
     # pair scores differently on a connection that kept the state, except
@@ -709,12 +710,12 @@ def test_connection_state_does_not_leak(polluter, catalogs, venue_split, venue_d
     first, next_gold, next_pred = cases[polluter]
     split = venue_split("SELECT Name FROM Venue", next_gold)
     predictions = {"t:0": first, "t:1": next_pred}
-    report = evaluate_split("full", split, catalogs, predictions)
+    report = evaluate_split("full", split, predictions)
     assert report.verdicts[0].failure_kind == "pred_exec_error"
-    assert [_outcome(v) for v in report.verdicts] == _fresh(split, catalogs, predictions)
+    assert [_outcome(v) for v in report.verdicts] == _fresh(split, predictions)
 
 
-def test_timeout_on_reused_connection_then_normal_query(catalogs, venue_split):
+def test_timeout_on_reused_connection_then_normal_query(venue_split):
     split = venue_split("SELECT Name FROM Venue", "SELECT City FROM Venue")
     slow = (
         "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r)"
@@ -722,13 +723,13 @@ def test_timeout_on_reused_connection_then_normal_query(catalogs, venue_split):
     )
     predictions = {"t:0": slow, "t:1": "SELECT City FROM Venue"}
     start = time.monotonic()
-    report = evaluate_split("full", split, catalogs, predictions, timeout_ms=200)
+    report = evaluate_split("full", split, predictions, timeout_ms=200)
     assert time.monotonic() - start < 5
     assert _outcome(report.verdicts[0]) == ("t:0", False, False, "timeout")
     assert _outcome(report.verdicts[1]) == ("t:1", True, True, None)
 
 
-def test_evaluate_split_cannot_mutate(catalogs, venue_split, venue_db):
+def test_evaluate_split_cannot_mutate(venue_split, venue_db):
     def count():
         conn = sqlite3.connect(venue_db)
         try:
@@ -739,13 +740,13 @@ def test_evaluate_split_cannot_mutate(catalogs, venue_split, venue_db):
     before = count()
     split = venue_split("SELECT Name FROM Venue", "SELECT count(*) FROM Venue")
     predictions = {"t:0": "DELETE FROM Venue", "t:1": "SELECT count(*) FROM Venue"}
-    report = evaluate_split("full", split, catalogs, predictions)
+    report = evaluate_split("full", split, predictions)
     assert report.verdicts[0].failure_kind == "pred_exec_error"
     assert _outcome(report.verdicts[1]) == ("t:1", True, True, None)
     assert count() == before
 
 
-def test_three_jobs_quarantine_the_same_gold(catalogs, venue_split, tmp_path):
+def test_three_jobs_quarantine_the_same_gold(venue_split, tmp_path):
     split = venue_split(
         "SELECT Name FROM Venue",
         "SELECT Name FROM Venue WHERE Capacity IS NOT NULL",  # syntax outside the dialect
@@ -758,13 +759,13 @@ def test_three_jobs_quarantine_the_same_gold(catalogs, venue_split, tmp_path):
     )
     bad = ["t:1", "t:3", "t:4", "t:6", "t:7"]
 
-    manifest = emit_sft_dataset(split.examples, catalogs, "link", tmp_path / "link.jsonl")
+    manifest = emit_sft_dataset(split.examples, "link", tmp_path / "link.jsonl")
     assert manifest["quarantined"] == bad
     assert manifest["count"] == 3
 
     with MockEndpoint(mockserver.constant("SELECT 1")) as ep:
         config = EndpointConfig(base_url=ep.base_url, model_name="m", max_retries=0)
-        traces = run_pipeline("oracle_link", split, catalogs, config=config)
+        traces = run_pipeline("oracle_link", split, config=config)
     unusable = [
         t.example_id
         for t in traces
@@ -776,7 +777,7 @@ def test_three_jobs_quarantine_the_same_gold(catalogs, venue_split, tmp_path):
     assert all(t.error is None for t in traces if t.example_id not in bad)
 
     predictions = {ex.example_id: ex.gold_sql for ex in split.examples}
-    report = evaluate_split("oracle_link", split, catalogs, predictions)
+    report = evaluate_split("oracle_link", split, predictions)
     assert list(report.quarantined) == bad
     assert report.n == 3
     assert [v.example_id for v in report.verdicts] == ["t:0", "t:2", "t:5"]

@@ -3,6 +3,8 @@ import logging
 
 import pytest
 
+from linksql import ingest
+from linksql.cli import main
 from linksql.ingest import db_file_for, load_split
 
 
@@ -116,3 +118,54 @@ def test_examples_of_one_database_share_its_db_file(catalogs, fixture_paths, tmp
         assert len(files) == 5
         assert files[0] == db_file_for(root, db_id)
         assert all(f is files[0] for f in files)
+
+
+def test_samples_attached_only_to_databases_the_split_names(
+    catalogs, fixture_paths, tmp_path, monkeypatch
+):
+    calls = []
+    real = ingest.attach_samples
+
+    def counting(catalog, db_file, max_rows):
+        calls.append(catalog.db_id)
+        return real(catalog, db_file, max_rows=max_rows)
+
+    monkeypatch.setattr(ingest, "attach_samples", counting)
+    records = [{"question": f"q{i}", "query": "SELECT Title FROM Book", "db_id": "library"}
+               for i in range(4)]
+    split = load_split(
+        _write(tmp_path, records), catalogs, fixture_paths["db_root_a"], sample_rows=2
+    )
+    assert calls == ["library"]
+    first = split.examples[0].catalog
+    assert all(e.catalog is first for e in split.examples)
+    assert first is not catalogs["library"]
+    assert all(0 < len(t.sample_rows) <= 2 for t in first.tables)
+
+
+def test_database_without_file_gets_no_samples(catalogs, tmp_path):
+    records = [{"question": "a", "query": "SELECT 1", "db_id": "retail"}]
+    empty_root = tmp_path / "empty_root"
+    empty_root.mkdir()
+    split = load_split(_write(tmp_path, records), catalogs, empty_root, sample_rows=2)
+    (ex,) = split.examples
+    assert ex.db_file is None
+    assert ex.catalog is catalogs["retail"]
+    assert all(t.sample_rows == () for t in ex.catalog.tables)
+
+
+def test_unused_database_file_that_is_not_sqlite_is_never_read(
+    catalogs, fixture_paths, corrupt_retail_root, tmp_path
+):
+    # prepare used to sample every database in tables.json and died with a
+    # sqlite3.DatabaseError traceback (exit 1) on the unused retail file
+    records = [{"question": "books?", "query": "SELECT Title FROM Book", "db_id": "library"}]
+    path = _write(tmp_path, records)
+    split = load_split(path, catalogs, corrupt_retail_root, sample_rows=2)
+    assert [e.db_id for e in split.examples] == ["library"]
+    rc = main(
+        ["prepare", "--tables", str(fixture_paths["tables"]), "--examples", str(path),
+         "--db-root", str(corrupt_retail_root), "--with-samples", "2",
+         "--stage", "full", "--out", str(tmp_path / "full.jsonl")]
+    )
+    assert rc == 0

@@ -322,7 +322,7 @@ def test_extract_sql(raw, want):
 def test_full_mode_shape(split100, catalogs, oracle_answers):
     split = split100
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
-        traces = run_pipeline("full", split, catalogs, config=cfg(ep), sleep=_no_sleep)
+        traces = run_pipeline("full", split, config=cfg(ep), sleep=_no_sleep)
     assert len(traces) == len(split.examples)
     for trace, ex in zip(traces, split.examples):
         assert trace.example_id == ex.example_id
@@ -339,7 +339,7 @@ def test_full_mode_shape(split100, catalogs, oracle_answers):
 def test_oracle_link_mode_uses_gold_tables(split100, catalogs, oracle_answers):
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(
-            "oracle_link", split100, catalogs, config=cfg(ep), sleep=_no_sleep
+            "oracle_link", split100, config=cfg(ep), sleep=_no_sleep
         )
     for trace, ex in zip(traces, split100.examples):
         cat = catalogs[ex.db_id]
@@ -353,9 +353,9 @@ def test_oracle_link_mode_uses_gold_tables(split100, catalogs, oracle_answers):
             assert present == (name in gold.tables)
 
 
-def test_dts_mode_two_stages(split100, catalogs, oracle_answers):
+def test_dts_mode_two_stages(split100, oracle_answers):
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
-        traces = run_pipeline("dts", split100, catalogs, config=cfg(ep), sleep=_no_sleep)
+        traces = run_pipeline("dts", split100, config=cfg(ep), sleep=_no_sleep)
         n_requests = len(ep.requests)
     assert n_requests == 2 * len(split100.examples)
     for trace, ex in zip(traces, split100.examples):
@@ -369,9 +369,13 @@ def test_dts_prompts_do_not_depend_on_worker_count(split100, catalogs, oracle_an
     prompts = {}
     for workers in (1, 4):
         fresh = {db_id: dataclasses.replace(cat) for db_id, cat in catalogs.items()}
+        split = Split(
+            split100.name,
+            tuple(dataclasses.replace(ex, catalog=fresh[ex.db_id]) for ex in split100.examples),
+        )
         with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
             traces = run_pipeline(
-                "dts", split100, fresh, config=cfg(ep, max_parallel_requests=workers),
+                "dts", split, config=cfg(ep, max_parallel_requests=workers),
                 sleep=_no_sleep,
             )
         prompts[workers] = [(t.stage1_prompt, t.stage2_prompt) for t in traces]
@@ -388,7 +392,7 @@ def test_dts_garbage_linker_falls_back_to_full_schema(split100, catalogs, oracle
         return mockserver.scripted_oracle(oracle_answers)(payload, idx)
 
     with MockEndpoint(script) as ep:
-        traces = run_pipeline("dts", split, catalogs, config=cfg(ep), sleep=_no_sleep)
+        traces = run_pipeline("dts", split, config=cfg(ep), sleep=_no_sleep)
     for trace, ex in zip(traces, split.examples):
         assert trace.fallback_full_schema
         assert set(trace.resolved_tables) == set(catalogs[ex.db_id].table_names)
@@ -410,7 +414,7 @@ def test_oracle_link_unusable_gold_falls_back_to_full_schema(split100, catalogs,
     cat = catalogs[ex.db_id]
     with MockEndpoint(mockserver.constant("SELECT 1")) as ep:
         (trace,) = run_pipeline(
-            "oracle_link", split, catalogs, config=cfg(ep), sleep=_no_sleep
+            "oracle_link", split, config=cfg(ep), sleep=_no_sleep
         )
     assert trace.fallback_full_schema
     assert trace.error.startswith("gold SQL unusable for linking")
@@ -432,7 +436,7 @@ def _expected_target(mode, trace, ex, cat):
 def test_trace_link_fields_match_serialized_target(split100, catalogs, oracle_answers, mode):
     split = type(split100)(split100.name, split100.examples[:12])
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
-        traces = run_pipeline(mode, split, catalogs, config=cfg(ep), sleep=_no_sleep)
+        traces = run_pipeline(mode, split, config=cfg(ep), sleep=_no_sleep)
     for trace, ex in zip(traces, split.examples):
         cat = catalogs[ex.db_id]
         joined = "\n".join(
@@ -453,7 +457,6 @@ def test_trace_link_target_reads_back_written_dts_trace(
         traces = run_pipeline(
             "dts",
             split,
-            catalogs,
             config=cfg(ep),
             trace_path=tmp_path / "traces.jsonl",
             sleep=_no_sleep,
@@ -465,13 +468,13 @@ def test_trace_link_target_reads_back_written_dts_trace(
         assert trace_link_target(row) == target
 
 
-def test_pipeline_isolates_endpoint_failures(split100, catalogs, oracle_answers):
+def test_pipeline_isolates_endpoint_failures(split100, oracle_answers):
     split = type(split100)(split100.name, split100.examples[:10])
     failing = {split.examples[3].question, split.examples[7].question}
     script = mockserver.fail_questions(mockserver.scripted_oracle(oracle_answers), failing)
     with MockEndpoint(script) as ep:
         traces = run_pipeline(
-            "full", split, catalogs, config=cfg(ep, max_retries=0), sleep=_no_sleep
+            "full", split, config=cfg(ep, max_retries=0), sleep=_no_sleep
         )
     assert len(traces) == 10
     for i, trace in enumerate(traces):
@@ -483,7 +486,7 @@ def test_pipeline_isolates_endpoint_failures(split100, catalogs, oracle_answers)
             assert trace.extracted_sql == split.examples[i].gold_sql
 
 
-def test_pipeline_retries_null_content_then_records_it(split100, catalogs, oracle_answers):
+def test_pipeline_retries_null_content_then_records_it(split100, oracle_answers):
     # servers send "content": null for a tool call
     split = type(split100)(split100.name, split100.examples[:6])
     nulled = split.examples[2].question
@@ -496,7 +499,7 @@ def test_pipeline_retries_null_content_then_records_it(split100, catalogs, oracl
 
     with MockEndpoint(script) as ep:
         traces = run_pipeline(
-            "full", split, catalogs, config=cfg(ep, max_retries=1), sleep=_no_sleep
+            "full", split, config=cfg(ep, max_retries=1), sleep=_no_sleep
         )
         asked = [r for r in ep.requests if mockserver.extract_question(r["payload"]) == nulled]
     assert len(asked) == 2  # the first try and one retry
@@ -510,24 +513,23 @@ def test_pipeline_retries_null_content_then_records_it(split100, catalogs, oracl
             assert trace.extracted_sql == ex.gold_sql
 
 
-def test_pipeline_preserves_split_order(split100, catalogs, oracle_answers):
+def test_pipeline_preserves_split_order(split100, oracle_answers):
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(
             "full",
             split100,
-            catalogs,
             config=cfg(ep, max_parallel_requests=8),
             sleep=_no_sleep,
         )
     assert [t.example_id for t in traces] == [e.example_id for e in split100.examples]
 
 
-def test_pipeline_keeps_one_connection_per_worker(split100, catalogs, oracle_answers):
+def test_pipeline_keeps_one_connection_per_worker(split100, oracle_answers):
     split = type(split100)(split100.name, split100.examples[:24])
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         with no_unclosed_sockets():
             traces = run_pipeline(
-                "dts", split, catalogs, config=cfg(ep, max_parallel_requests=4), sleep=_no_sleep
+                "dts", split, config=cfg(ep, max_parallel_requests=4), sleep=_no_sleep
             )
         assert len(ep.requests) == 48
         assert 1 <= ep.connections <= 4
@@ -536,7 +538,7 @@ def test_pipeline_keeps_one_connection_per_worker(split100, catalogs, oracle_ans
 
 
 def test_pipeline_resends_when_the_server_drops_kept_alive_connections(
-    split100, catalogs, oracle_answers
+    split100, oracle_answers
 ):
     def no_sleep_expected(seconds):
         raise AssertionError(f"slept {seconds} s")
@@ -547,7 +549,6 @@ def test_pipeline_resends_when_the_server_drops_kept_alive_connections(
         traces = run_pipeline(
             "dts",
             split,
-            catalogs,
             config=cfg(ep, max_retries=0, max_parallel_requests=2),
             sleep=no_sleep_expected,
         )
@@ -557,19 +558,18 @@ def test_pipeline_resends_when_the_server_drops_kept_alive_connections(
         assert trace.extracted_sql == ex.gold_sql
 
 
-def test_invalid_mode_rejected(split100, catalogs):
+def test_invalid_mode_rejected(split100):
     with pytest.raises(ValueError):
-        run_pipeline("both", split100, catalogs, config=None)
+        run_pipeline("both", split100, config=None)
 
 
-def test_trace_io_roundtrip(split100, catalogs, oracle_answers, tmp_path):
+def test_trace_io_roundtrip(split100, oracle_answers, tmp_path):
     split = type(split100)(split100.name, split100.examples[:4])
     fixed = iter(range(1000))
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(
             "dts",
             split,
-            catalogs,
             config=cfg(ep),
             trace_path=tmp_path / "traces.jsonl",
             timer=lambda: float(next(fixed)),
@@ -586,7 +586,7 @@ def test_trace_io_roundtrip(split100, catalogs, oracle_answers, tmp_path):
         json.dumps(row)  # serializable
 
 
-def test_write_traces_standalone(tmp_path):
+def test_write_traces_standalone(catalogs, tmp_path):
     trace = TwoStageTrace(
         example_id="x:0",
         mode="full",
@@ -600,12 +600,13 @@ def test_write_traces_standalone(tmp_path):
         wall_ms={"total_ms": 1.0},
     )
     write_traces(tmp_path / "t.jsonl", [trace])
-    split = Split("x", (Example("x:0", "q", "SELECT 1", "venue_events", None),))
+    split = Split("x", (Example("x:0", "q", "SELECT 1", catalogs["venue_events"], None),))
     assert read_traces(tmp_path / "t.jsonl", split)[0]["example_id"] == "x:0"
 
 
-def test_read_traces_returns_rows_in_split_order(tmp_path):
-    examples = tuple(Example(f"x:{i}", "q", "SELECT 1", "venue_events", None) for i in range(3))
+def test_read_traces_returns_rows_in_split_order(catalogs, tmp_path):
+    cat = catalogs["venue_events"]
+    examples = tuple(Example(f"x:{i}", "q", "SELECT 1", cat, None) for i in range(3))
     split = Split("x", examples)
     path = tmp_path / "t.jsonl"
     path.write_text(

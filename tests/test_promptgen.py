@@ -268,9 +268,9 @@ def _read_jsonl(path):
 
 
 @pytest.mark.parametrize("stage", STAGES)
-def test_emit_dataset_stages(stage, split100, catalogs, tmp_path):
+def test_emit_dataset_stages(stage, split100, tmp_path):
     out = tmp_path / f"{stage}.jsonl"
-    manifest = emit_sft_dataset(split100.examples, catalogs, stage, out)
+    manifest = emit_sft_dataset(split100.examples, stage, out)
     rows = _read_jsonl(out)
     assert manifest["count"] == len(rows) == len(split100.examples)
     assert manifest["quarantined"] == []
@@ -288,7 +288,7 @@ def test_emit_dataset_stages(stage, split100, catalogs, tmp_path):
 def test_emit_prompt_joins_system_and_body(split100, catalogs, tmp_path):
     for stage in STAGES:
         out = tmp_path / f"{stage}.jsonl"
-        emit_sft_dataset(split100.examples[:5], catalogs, stage, out)
+        emit_sft_dataset(split100.examples[:5], stage, out)
         for row, ex in zip(_read_jsonl(out), split100.examples[:5]):
             cat = catalogs[ex.db_id]
             tables = extract_link_targets(parse_sql(ex.gold_sql, cat)).tables
@@ -296,17 +296,17 @@ def test_emit_prompt_joins_system_and_body(split100, catalogs, tmp_path):
             assert row["prompt"] == f"{system}\n\n{body}"
 
 
-def test_emit_full_and_gen_completions_are_gold(split100, catalogs, tmp_path):
+def test_emit_full_and_gen_completions_are_gold(split100, tmp_path):
     for stage in ("full", "gen"):
         out = tmp_path / f"{stage}.jsonl"
-        emit_sft_dataset(split100.examples[:5], catalogs, stage, out)
+        emit_sft_dataset(split100.examples[:5], stage, out)
         for row, ex in zip(_read_jsonl(out), split100.examples[:5]):
             assert row["completion"] == ex.gold_sql
 
 
 def test_emit_link_completions_serialize_gold_extraction(split100, catalogs, tmp_path):
     out = tmp_path / "link.jsonl"
-    emit_sft_dataset(split100.examples[:10], catalogs, "link", out)
+    emit_sft_dataset(split100.examples[:10], "link", out)
     for row, ex in zip(_read_jsonl(out), split100.examples[:10]):
         cat = catalogs[ex.db_id]
         target = extract_link_targets(parse_sql(ex.gold_sql, cat))
@@ -315,7 +315,7 @@ def test_emit_link_completions_serialize_gold_extraction(split100, catalogs, tmp
 
 def test_emit_gen_prompt_tables_match_extraction(split100, catalogs, tmp_path):
     out = tmp_path / "gen.jsonl"
-    emit_sft_dataset(split100.examples[:20], catalogs, "gen", out)
+    emit_sft_dataset(split100.examples[:20], "gen", out)
     for row, ex in zip(_read_jsonl(out), split100.examples[:20]):
         cat = catalogs[ex.db_id]
         want = set(extract_link_targets(parse_sql(ex.gold_sql, cat)).tables)
@@ -333,6 +333,7 @@ def test_emit_quarantines_unsupported_gold(split100, catalogs, tmp_path, caplog)
             self.question = question
             self.gold_sql = gold_sql
             self.db_id = db_id
+            self.catalog = catalogs[db_id]
 
     examples = [
         Stub("s:0", "ok", "SELECT Name FROM Venue", "venue_events"),
@@ -341,27 +342,16 @@ def test_emit_quarantines_unsupported_gold(split100, catalogs, tmp_path, caplog)
     ]
     for stage in STAGES:  # quarantine applies uniformly, link stage included
         out = tmp_path / f"{stage}.jsonl"
-        manifest = emit_sft_dataset(examples, catalogs, stage, out)
+        manifest = emit_sft_dataset(examples, stage, out)
         assert manifest["count"] == 2
         assert manifest["quarantined"] == ["s:1"]
         assert [r["example_id"] for r in _read_jsonl(out)] == ["s:0", "s:2"]
 
 
-def test_emit_unknown_db_id_aborts(split100, catalogs, tmp_path):
-    class Stub:
-        example_id = "x:0"
-        question = "q"
-        gold_sql = "SELECT 1"
-        db_id = "no_such_db"
-
-    with pytest.raises(ValueError, match="no_such_db"):
-        emit_sft_dataset([Stub()], catalogs, "full", tmp_path / "x.jsonl")
-
-
-def test_emit_rerun_byte_identical(split100, catalogs, tmp_path):
+def test_emit_rerun_byte_identical(split100, tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
-    ma = emit_sft_dataset(split100.examples, catalogs, "gen", a)
-    mb = emit_sft_dataset(split100.examples, catalogs, "gen", b)
+    ma = emit_sft_dataset(split100.examples, "gen", a)
+    mb = emit_sft_dataset(split100.examples, "gen", b)
     assert a.read_bytes() == b.read_bytes()
     assert ma["sha256"] == mb["sha256"]
