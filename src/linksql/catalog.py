@@ -98,10 +98,22 @@ class DatabaseCatalog:
     def table_map(self) -> dict[str, TableDef]:
         return {t.normal_name: t for t in self.tables}
 
-    @property
+    @cached_property
     def table_names(self) -> tuple[str, ...]:
         """Normal-form table names in catalog order."""
         return tuple(t.normal_name for t in self.tables)
+
+    @cached_property
+    def rank(self) -> dict:
+        """Catalog position of each table, keyed by its normal name, and of
+        each column, keyed by the (table, column) normal names: the order
+        that ``promptgen.link_fields`` lists them in."""
+        rank: dict = {}
+        for i, table in enumerate(self.tables):
+            rank[table.normal_name] = i
+            for column in table.columns:
+                rank[table.normal_name, column.normal_name] = (i, column.ordinal)
+        return rank
 
     @cached_property
     def rendered_schemas(self) -> dict[frozenset[str], str]:

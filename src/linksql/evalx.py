@@ -179,7 +179,8 @@ class ConnectionSet:
             if cursor.description is None:
                 # empty or non-query statement; sqlite accepts it silently
                 raise sqlite3.OperationalError("statement produced no result set")
-            return [tuple(map(_cell_key, row)) for row in rows]
+            # only a real has a key other than itself
+            return [tuple(map(_cell_key, row)) if float in map(type, row) else row for row in rows]
         finally:
             if self._dirty:
                 self._open.pop(db_file).close()

@@ -169,19 +169,13 @@ def link_fields(
 
     Names the catalog does not know sort after the known ones, by name.
     """
-    order = {name: i for i, name in enumerate(catalog.table_names)}
+    rank = catalog.rank
 
-    def table_key(name: str):
-        return (0, order[name]) if name in order else (1, name)
+    def key(member):
+        return (0, rank[member]) if member in rank else (1, member)
 
-    def column_key(ref: tuple[str, str]):
-        t, c = ref
-        if t in order and catalog.table(t).has_column(c):
-            return (0, order[t], catalog.table(t).column(c).ordinal)
-        return (1, 0, (t, c))
-
-    tables = tuple(sorted(target.tables, key=table_key))
-    columns = tuple(f"{t}.{c}" for t, c in sorted(target.columns, key=column_key))
+    tables = tuple(sorted(target.tables, key=key))
+    columns = tuple(f"{t}.{c}" for t, c in sorted(target.columns, key=key))
     return tables, columns
 
 
@@ -253,7 +247,7 @@ def emit_sft_dataset(
     quarantined: list[str] = []
     digest = hashlib.sha256()
     count = 0
-    with out.open("w", encoding="utf-8") as fh:
+    with out.open("wb") as fh:
         for ex in examples:
             catalog = ex.catalog
             try:
@@ -262,7 +256,7 @@ def emit_sft_dataset(
                 log.warning("quarantined %s: %s", ex.example_id, err)
                 quarantined.append(ex.example_id)
                 continue
-            target = extract_link_targets(ast)
+            target = None if stage == "full" else extract_link_targets(ast)
             selected = target.tables if stage == "gen" else None
             system, body = prompt_parts(stage, ex.question, catalog, selected, templates)
             completion = (
@@ -275,9 +269,8 @@ def emit_sft_dataset(
                 "completion": completion,
                 "db_id": ex.db_id,
             }
-            line = json.dumps(record, ensure_ascii=False) + "\n"
-            data = line.encode("utf-8")
-            fh.write(line)
+            data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+            fh.write(data)
             digest.update(data)
             count += 1
     manifest = {"count": count, "quarantined": quarantined, "sha256": digest.hexdigest()}

@@ -41,24 +41,34 @@ class Token(NamedTuple):
         return self.kind == "KW" and self.value in words
 
 
-# One match per token, whitespace before it included, with one group per
-# kind: WORD, NUM, STR, QUOTED, OP, BAD. The alternatives are tried in
-# order: NUM comes before OP so that ".5" is a number, while a dot before
-# anything but a digit is the qualifier operator. A closing quote must not
-# be followed by the same quote, which would make it half of an escaped
-# pair. BAD takes any other non-space character, so matches cover the text
-# without gaps but for trailing whitespace.
+# One match per token, in the order the alternatives are tried: a word, a
+# number, a quoted string, a backquoted name, an operator, any other
+# non-space character. NUM comes before OP so that ".5" is a number, while a
+# dot before anything but a digit is the qualifier operator. A closing quote
+# must not be followed by the same quote, which would make it half of an
+# escaped pair. Only whitespace is left between matches. The pattern has no
+# capture groups, so ``findall`` returns the token texts themselves; ``scan``
+# looks each up in ``_FIXED_TAGS`` and tells the rest apart by their first
+# character.
 _TOKEN = re.compile(
-    r"""\s*(?:
-    ([^\W\d]\w*)
-    |((?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
-    |('[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))
-    |(`[^`]*`)
-    |(<>|==|[<>!]=|[=<>(),.;*+\-/%])
-    |(\S))""",
+    r"""[^\W\d]\w*
+    |(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?
+    |'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!")
+    |`[^`]*`
+    |<>|==|[<>!]=|[=<>(),.;*+\-/%]
+    |\S""",
     re.VERBOSE,
 )
-_OP_ALIASES = {"<>": "!=", "==": "="}
+# The tag of every token whose text alone decides it: each operator (the
+# aliases <> and == as != and =) and each keyword in lower and upper case.
+# A keyword in mixed case is found by lower-casing the word.
+_FIXED_TAGS = {
+    **{op: op for op in ("!=", "<=", ">=", *"=<>(),.;*+-/%")},
+    "<>": "!=",
+    "==": "=",
+    **{kw: kw for kw in KEYWORDS},
+    **{kw.upper(): kw for kw in KEYWORDS},
+}
 _UNTERMINATED = {
     "'": "unterminated string literal",
     '"': "unterminated string literal",
@@ -80,34 +90,35 @@ def scan(text: str) -> tuple[list[str], list[str]]:
     values: list[str] = []
     add_tag = tags.append
     add_value = values.append
-    for word, num, string, quoted, op, bad in _TOKEN.findall(text):
-        if word:
-            lower = word.lower()
+    fixed = _FIXED_TAGS.get
+    for token in _TOKEN.findall(text):
+        tag = fixed(token)
+        if tag is not None:
+            add_tag(tag)
+            add_value(tag)
+            continue
+        first = token[0]
+        # \w also takes numerals such as Ⅷ or ², which start no identifier
+        if first.isalpha() or first == "_":
+            lower = token.lower()
             if lower in KEYWORDS:
                 add_tag(lower)
                 add_value(lower)
-            # \w also takes numerals such as Ⅷ or ², which start no identifier
-            elif word[0].isalpha() or word[0] == "_":
-                add_tag("IDENT")
-                add_value(word)
             else:
-                message = f"unexpected character {word[0]!r}"
-                raise SqlParseError(message, token_start(text, len(tags)))
-        elif op:
-            op = _OP_ALIASES.get(op, op)
-            add_tag(op)
-            add_value(op)
-        elif num:
+                add_tag("IDENT")
+                add_value(token)
+        elif first.isdecimal() or first == ".":  # a lone "." is fixed
             add_tag("NUM")
-            add_value(num)
-        elif string:
+            add_value(token)
+        # a quote alone is one that no closing quote matched
+        elif (first == "'" or first == '"') and len(token) > 1:
             add_tag("STR")
-            add_value(string[1:-1].replace(string[0] * 2, string[0]))
-        elif quoted:
+            add_value(token[1:-1].replace(first * 2, first))
+        elif first == "`" and len(token) > 1:
             add_tag("IDENT")
-            add_value(quoted[1:-1])
+            add_value(token[1:-1])
         else:
-            message = _UNTERMINATED.get(bad, f"unexpected character {bad!r}")
+            message = _UNTERMINATED.get(token, f"unexpected character {first!r}")
             raise SqlParseError(message, token_start(text, len(tags)))
     tags += ["END"] * _END_PADDING
     values += [""] * _END_PADDING
@@ -115,7 +126,7 @@ def scan(text: str) -> tuple[list[str], list[str]]:
 
 
 def _token_starts(text: str) -> list[int]:
-    return [m.start(m.lastindex) for m in _TOKEN.finditer(text)]
+    return [m.start() for m in _TOKEN.finditer(text)]
 
 
 def token_start(text: str, index: int) -> int:

@@ -57,6 +57,9 @@ class Literal:
 
     @classmethod
     def number(cls, raw: str) -> "Literal":
+        # below 1e15, exactly as the float round trip below spells it
+        if len(raw) < 16 and raw.isdecimal():
+            return cls("num", str(int(raw)))
         value = float(raw)
         if value.is_integer() and abs(value) < 1e15:
             return cls("num", str(int(value)))

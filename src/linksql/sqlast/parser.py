@@ -9,10 +9,10 @@ once, already holding canonical table names from the catalog.
 Resolution binds each FROM entry's alias (else its table name or its
 positional ``#sqN`` name) to ``(name, columns)``: the canonical name and
 the column names the entry exposes, the catalog's for a table and the
-select list for a derived table. Each FROM clause is one dict of a
-``ChainMap``, innermost first: a WHERE or HAVING subquery extends the
-enclosing chain, a FROM subquery starts a new one, and a set operator's
-right-hand side shares its left side's.
+select list for a derived table. Each FROM clause is one dict, and a scope
+is a tuple of them, innermost first: a WHERE or HAVING subquery extends
+the enclosing scope, a FROM subquery starts an empty one, and a set
+operator's right-hand side shares its left side's.
 
 So that every name is met after the entries it may refer to, a query is
 parsed FROM first: its FROM entries are bound, then its ON conditions,
@@ -25,7 +25,6 @@ that order.
 
 from __future__ import annotations
 
-from collections import ChainMap
 from collections.abc import Collection
 from dataclasses import replace
 
@@ -73,6 +72,10 @@ _CONDITION_ENDS = frozenset(
 )
 _JOIN_MODIFIERS = frozenset({"left", "right", "full", "outer", "cross", "natural"})
 
+# The FROM clauses a name may refer to, innermost first; each maps an alias
+# to (name, columns).
+_Scope = tuple[dict[str, tuple[str, Collection[str]]], ...]
+
 
 class _Parser:
     """Cursor over the lexer's tags and values. A tag is the keyword or
@@ -99,12 +102,9 @@ class _Parser:
         self.catalog = catalog
         self.written_order = written_order
         self.i = 0
-        self.scope: ChainMap = ChainMap()
+        self.scope: _Scope = ()
         self.held: ResolutionError | None = None
         self._closing: dict[int, int] | None = None
-
-    def tag(self, ahead: int = 0) -> str:
-        return self.tags[self.i + ahead]
 
     def take(self) -> str:
         value = self.values[self.i]
@@ -121,35 +121,38 @@ class _Parser:
         self.i += 1
 
     def take_ident(self, what: str) -> str:
-        if self.tags[self.i] != "IDENT":
-            raise self.error(f"expected {what}, found {self.values[self.i]!r}")
-        return self.take()
+        i = self.i
+        if self.tags[i] != "IDENT":
+            raise self.error(f"expected {what}, found {self.values[i]!r}")
+        self.i = i + 1
+        return self.values[i]
 
     # -- query structure ---------------------------------------------------
 
     def parse_statement(self) -> QueryAst:
-        ast = self.parse_query(ChainMap())
-        if self.tag() == ";":
+        ast = self.parse_query(())
+        if self.tags[self.i] == ";":
             self.i += 1
-        if self.tag() != "END":
+        if self.tags[self.i] != "END":
             raise self.error(f"unexpected trailing input {self.values[self.i]!r}")
         return ast
 
-    def parse_query(self, outer: ChainMap) -> QueryAst:
+    def parse_query(self, outer: _Scope) -> QueryAst:
         """A query and its set operator, resolved against ``outer``, which
         is ``scope`` again when it returns."""
         core = self.parse_core(outer)
-        if self.tag() in SET_OPS:
+        if self.tags[self.i] in SET_OPS:
             op = self.take()
             rhs = self.parse_core(outer)
-            if self.tag() in SET_OPS:
+            if self.tags[self.i] in SET_OPS:
                 raise self.error("chained set operations are not supported")
             core = replace(core, set_op=SetOp(op, rhs))
         return core
 
-    def parse_core(self, outer: ChainMap) -> QueryAst:
+    def parse_core(self, outer: _Scope) -> QueryAst:
+        tags = self.tags
         self.expect("select")
-        distinct = self.tag() == "distinct"
+        distinct = tags[self.i] == "distinct"
         self.i += distinct
         items_at = self.i
         if self.written_order:
@@ -159,13 +162,13 @@ class _Parser:
         else:
             # The select list cannot hold FROM, so its end is the first one.
             try:
-                self.i = self.tags.index("from", items_at) + 1
+                self.i = tags.index("from", items_at) + 1
             except ValueError:
                 raise self.error("expected FROM") from None
         bound: dict[str, tuple[str, Collection[str]]] = {}  # alias -> (name, columns)
         derived: list[DerivedTable] = []
         ons = self.parse_from(bound, derived)
-        self.scope = outer.new_child(bound)
+        self.scope = (bound, *outer)
 
         join_pairs: set[JoinPair] = set()
         leftovers: list[object] = []
@@ -188,36 +191,36 @@ class _Parser:
         self.i = resume
 
         where = None
-        if self.tag() == "where":
+        if tags[self.i] == "where":
             self.i += 1
             where = self.parse_bool()
         if leftovers:
             parts = leftovers + ([where] if where is not None else [])
             where = parts[0] if len(parts) == 1 else BoolNode("and", tuple(parts))
         group: list[ColumnRef] = []
-        if self.tag() == "group":
+        if tags[self.i] == "group":
             self.i += 1
             self.expect("by")
             group.append(self.parse_group_ref())
-            while self.tag() == ",":
+            while tags[self.i] == ",":
                 self.i += 1
                 group.append(self.parse_group_ref())
         having = None
-        if self.tag() == "having":
+        if tags[self.i] == "having":
             self.i += 1
             having = self.parse_bool()
         order: list[OrderItem] = []
-        if self.tag() == "order":
+        if tags[self.i] == "order":
             self.i += 1
             self.expect("by")
             order.append(self.parse_order_item())
-            while self.tag() == ",":
+            while tags[self.i] == ",":
                 self.i += 1
                 order.append(self.parse_order_item())
         limit = None
-        if self.tag() == "limit":
+        if tags[self.i] == "limit":
             self.i += 1
-            if self.tag() != "NUM" or not self.values[self.i].isdigit():
+            if tags[self.i] != "NUM" or not self.values[self.i].isdigit():
                 raise self.error("LIMIT expects a non-negative integer")
             limit = int(self.take())
         self.scope = outer
@@ -237,22 +240,24 @@ class _Parser:
     def parse_from(self, bound: dict, derived: list) -> list[tuple[int, int]]:
         """Bind the FROM entries; return the token range of each ON
         condition, to be parsed once every entry is bound."""
+        tags = self.tags
         ons: list[tuple[int, int]] = []
         self.parse_source(bound, derived)
         while True:
-            if self.tag() == ",":
+            tag = tags[self.i]
+            if tag == ",":
                 self.i += 1
                 self.parse_source(bound, derived)
                 continue
-            if self.tag() == "inner":
+            if tag == "inner":
                 self.i += 1
                 self.expect("join")
-            elif self.tag() == "join":
+            elif tag == "join":
                 self.i += 1
             else:
                 break
             self.parse_source(bound, derived)
-            if self.tag() == "on":
+            if tags[self.i] == "on":
                 self.i += 1
                 if self.written_order:
                     self.parse_bool()  # for its syntax: the names are not reported
@@ -263,11 +268,11 @@ class _Parser:
         return ons
 
     def parse_source(self, bound: dict, derived: list) -> None:
-        if self.tag() == "(":
+        if self.tags[self.i] == "(":
             self.i += 1
             # A derived table resolves in isolation: standard SQL gives a
             # FROM subquery no access to sibling or outer names.
-            sub = self.parse_query(ChainMap())
+            sub = self.parse_query(())
             self.expect(")")
             name = f"{DERIVED_PREFIX}{len(derived)}"
             derived.append(DerivedTable(name, sub))
@@ -289,12 +294,13 @@ class _Parser:
         bound[alias] = (name, columns)
 
     def parse_alias(self) -> str | None:
-        if self.tag() == "as":
+        tag = self.tags[self.i]
+        if tag == "as":
             self.i += 1
             return self.take_ident("alias")
-        if self.tag() == "IDENT":
+        if tag == "IDENT":
             word = self.values[self.i]
-            if word.lower() in _JOIN_MODIFIERS and self.tag(1) == "join":
+            if word.lower() in _JOIN_MODIFIERS and self.tags[self.i + 1] == "join":
                 raise self.error(f"unsupported join type {word!r}")
             return self.take()
         return None
@@ -334,11 +340,12 @@ class _Parser:
             self.held = ResolutionError(message)
 
     def lookup(self, qualifier: str) -> tuple[str, Collection[str]]:
-        try:
-            return self.scope[qualifier.strip().lower()]
-        except KeyError:
-            self.hold(f"unknown table or alias {qualifier!r}")
-            return "", ()
+        alias = qualifier.strip().lower()
+        for bound in self.scope:
+            if alias in bound:
+                return bound[alias]
+        self.hold(f"unknown table or alias {qualifier!r}")
+        return "", ()
 
     def column(self, qualifier: str | None, written: str) -> ColumnRef:
         """The column ``qualifier.written``, or unqualified the one FROM
@@ -349,12 +356,16 @@ class _Parser:
             if col not in columns:
                 self.hold(f"no column {written!r} in {qualifier!r}")
             return ColumnRef(name, col)
-        for bound in self.scope.maps:
-            matches = [name for name, columns in bound.values() if col in columns]
-            if len(matches) > 1:
-                self.hold(f"ambiguous column name {written!r}")
-            if matches:
-                return ColumnRef(matches[0], col)
+        for bound in self.scope:
+            found = None
+            for name, columns in bound.values():
+                if col in columns:
+                    if found is not None:
+                        self.hold(f"ambiguous column name {written!r}")
+                        break
+                    found = name
+            if found is not None:
+                return ColumnRef(found, col)
         self.hold(f"unresolvable column {written!r}")
         return ColumnRef("", col)
 
@@ -362,16 +373,17 @@ class _Parser:
 
     def parse_items(self) -> tuple:
         items = [self.parse_select_item()]
-        while self.tag() == ",":
+        while self.tags[self.i] == ",":
             self.i += 1
             items.append(self.parse_select_item())
         return tuple(items)
 
     def parse_select_item(self):
-        if self.tag() == "*":
+        tags, i = self.tags, self.i
+        if tags[i] == "*":
             self.i += 1
             return Star(None)
-        if self.tag() == "IDENT" and self.tag(1) == "." and self.tag(2) == "*":
+        if tags[i] == "IDENT" and tags[i + 1] == "." and tags[i + 2] == "*":
             qualifier = self.take()
             self.i += 2
             return Star(self.lookup(qualifier)[0])
@@ -379,29 +391,32 @@ class _Parser:
 
     def parse_arith(self):
         left = self.parse_term()
-        while self.tag() in ("+", "-"):
+        tags = self.tags
+        while tags[self.i] in ("+", "-"):
             op = self.take()
             left = Arith(op, left, self.parse_term())
         return left
 
     def parse_term(self):
         left = self.parse_atom()
-        while self.tag() in ("*", "/"):
+        tags = self.tags
+        while tags[self.i] in ("*", "/"):
             op = self.take()
             left = Arith(op, left, self.parse_atom())
         return left
 
     def parse_atom(self):
-        tag = self.tag()
+        tags = self.tags
+        tag = tags[self.i]
         if tag == "NUM":
             return Literal.number(self.take())
         if tag == "STR":
             return Literal.string(self.take())
-        if tag == "-" and self.tag(1) == "NUM":
+        if tag == "-" and tags[self.i + 1] == "NUM":
             self.i += 1
             return Literal.number("-" + self.take())
         if tag == "(":
-            if self.tag(1) == "select":
+            if tags[self.i + 1] == "select":
                 raise self.error("subquery not allowed in this position")
             self.i += 1
             inner = self.parse_arith()
@@ -409,18 +424,19 @@ class _Parser:
             return inner
         if tag == "IDENT":
             name = self.take()
-            if self.tag() == "(" and name.lower() in AGGREGATES:
+            tag = tags[self.i]
+            if tag == "(" and name.lower() in AGGREGATES:
                 self.i += 1
-                distinct = self.tag() == "distinct"
+                distinct = tags[self.i] == "distinct"
                 self.i += distinct
-                if self.tag() == "*":
+                if tags[self.i] == "*":
                     self.i += 1
                     arg: object = Star(None)
                 else:
                     arg = self.parse_arith()
                 self.expect(")")
                 return Agg(name.lower(), distinct, arg)
-            if self.tag() == ".":
+            if tag == ".":
                 self.i += 1
                 return self.column(name, self.take_ident("column name"))
             return self.column(None, name)
@@ -435,28 +451,36 @@ class _Parser:
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_arith()
         direction = "asc"
-        if self.tag() in ("asc", "desc"):
+        if self.tags[self.i] in ("asc", "desc"):
             direction = self.take()
         return OrderItem(expr, direction)
 
     # -- conditions --------------------------------------------------------
 
     def parse_bool(self):
-        children = [self.parse_and_chain()]
-        while self.tag() == "or":
+        first = self.parse_and_chain()
+        tags = self.tags
+        if tags[self.i] != "or":
+            return first
+        children = [first]
+        while tags[self.i] == "or":
             self.i += 1
             children.append(self.parse_and_chain())
-        return children[0] if len(children) == 1 else BoolNode("or", tuple(children))
+        return BoolNode("or", tuple(children))
 
     def parse_and_chain(self):
-        children = [self.parse_cond_unit()]
-        while self.tag() == "and":
+        first = self.parse_cond_unit()
+        tags = self.tags
+        if tags[self.i] != "and":
+            return first
+        children = [first]
+        while tags[self.i] == "and":
             self.i += 1
             children.append(self.parse_cond_unit())
-        return children[0] if len(children) == 1 else BoolNode("and", tuple(children))
+        return BoolNode("and", tuple(children))
 
     def parse_cond_unit(self):
-        if self.tag() == "(" and self.tag(1) != "select":
+        if self.tags[self.i] == "(" and self.tags[self.i + 1] != "select":
             self.i += 1
             inner = self.parse_bool()
             self.expect(")")
@@ -464,14 +488,15 @@ class _Parser:
         return self.parse_predicate()
 
     def parse_predicate(self) -> Predicate:
-        if self.tag() == "exists":
+        tags = self.tags
+        if tags[self.i] == "exists":
             self.i += 1
             self.expect("(")
             sub = self.parse_query(self.scope)
             self.expect(")")
             return Predicate("exists", None, sub)
         lhs = self.parse_arith()
-        tag = self.tag()
+        tag = tags[self.i]
         if tag in COMPARE_OPS:
             self.i += 1
             return Predicate(tag, lhs, self.parse_value())
@@ -479,7 +504,7 @@ class _Parser:
         if tag == "not":
             self.i += 1
             negated = True
-            tag = self.tag()
+            tag = tags[self.i]
         if tag == "like":
             self.i += 1
             op = "not like" if negated else "like"
@@ -497,7 +522,7 @@ class _Parser:
         raise self.error(f"expected a comparison operator, found {self.values[self.i]!r}")
 
     def parse_value(self, scalar: bool = False):
-        if self.tag() == "(" and self.tag(1) == "select":
+        if self.tags[self.i] == "(" and self.tags[self.i + 1] == "select":
             if scalar:
                 raise self.error("subquery not allowed as a BETWEEN bound")
             self.i += 1
@@ -508,12 +533,12 @@ class _Parser:
 
     def parse_in_rhs(self):
         self.expect("(")
-        if self.tag() == "select":
+        if self.tags[self.i] == "select":
             sub = self.parse_query(self.scope)
             self.expect(")")
             return sub
         values = [self._in_literal()]
-        while self.tag() == ",":
+        while self.tags[self.i] == ",":
             self.i += 1
             values.append(self._in_literal())
         self.expect(")")

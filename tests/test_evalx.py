@@ -3,8 +3,11 @@ import itertools
 import json
 import math
 import sqlite3
+import tempfile
 import time
 from collections import Counter
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -229,6 +232,38 @@ def test_cell_key_boundary_is_not_a_tolerance():
     x, y = 1.0000005, 1.00000049999999
     assert abs(x - y) / x < 1e-13
     assert _cell_key(x) != _cell_key(y)
+
+
+_stored_cells = st.one_of(
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.sampled_from((10**16, 1e16, -0.0, math.inf, -math.inf, 2, 2.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(_stored_cells, min_size=3, max_size=3), min_size=1, max_size=4))
+@example(rows=[[10**16, 1e16, None], [-0.0, math.inf, "x"], [2, 2.0, b"\x00"], [2, 3, b"2"]])
+def test_run_keys_rows_as_cell_key_does(rows):
+    # run converts only the rows that hold a real; every row must still
+    # come back as the cell keys of what SQLite returned
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Path(tmp) / "cells.sqlite"
+        with closing(sqlite3.connect(db)) as raw:
+            raw.execute("CREATE TABLE t (a, b, c)")
+            raw.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+            raw.commit()
+            stored = raw.execute("SELECT a, b, c FROM t ORDER BY rowid").fetchall()
+        with ConnectionSet() as conns:
+            got = conns.run(db, "SELECT a, b, c FROM t ORDER BY rowid", time.monotonic() + 10)
+    assert got == [tuple(map(_cell_key, row)) for row in stored]
+    # the same type per cell: 10**16 == 1e16, but their keys differ
+    assert [tuple(map(type, row)) for row in got] == [
+        tuple(map(type, map(_cell_key, row))) for row in stored
+    ]
 
 
 def test_ex_text_number_distinct(scratch_db, conns):

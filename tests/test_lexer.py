@@ -1,6 +1,11 @@
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linksql.sqlast import SqlParseError, tokenize
+from linksql.sqlast.lexer import KEYWORDS, scan, token_start
 
 # (text, expected): the (kind, value, pos) tokens up to and including END,
 # or the message of the SqlParseError that tokenize raises.
@@ -69,3 +74,111 @@ def test_is_kw_matches_keywords_only():
     assert kw.is_kw("asc", "order")
     assert not ident.is_kw("order")
     assert not end.is_kw("order")
+
+
+# -- equivalence with the six-group lexer ----------------------------------
+
+# The lexer before ``scan`` told token kinds apart by the regex alone: one
+# capture group per kind, the whitespace before a token folded into its
+# match. It is kept here as the reference that ``scan`` must agree with.
+_SIX_GROUPS = re.compile(
+    r"""\s*(?:
+    ([^\W\d]\w*)
+    |((?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
+    |('[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))
+    |(`[^`]*`)
+    |(<>|==|[<>!]=|[=<>(),.;*+\-/%])
+    |(\S))""",
+    re.VERBOSE,
+)
+_OP_ALIASES = {"<>": "!=", "==": "="}
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated string literal",
+    "`": "unterminated quoted identifier",
+}
+
+
+def _six_group_starts(text):
+    return [m.start(m.lastindex) for m in _SIX_GROUPS.finditer(text)]
+
+
+def _six_group_scan(text):
+    """(tags, values) without the END padding, or the message of the
+    SqlParseError it raises."""
+    starts = _six_group_starts(text)
+    tags, values = [], []
+    for word, num, string, quoted, op, bad in _SIX_GROUPS.findall(text):
+        pos = starts[len(tags)]
+        if word:
+            lower = word.lower()
+            if lower in KEYWORDS:
+                tags.append(lower)
+                values.append(lower)
+            elif word[0].isalpha() or word[0] == "_":
+                tags.append("IDENT")
+                values.append(word)
+            else:
+                return f"unexpected character {word[0]!r} (at position {pos})"
+        elif op:
+            op = _OP_ALIASES.get(op, op)
+            tags.append(op)
+            values.append(op)
+        elif num:
+            tags.append("NUM")
+            values.append(num)
+        elif string:
+            tags.append("STR")
+            values.append(string[1:-1].replace(string[0] * 2, string[0]))
+        elif quoted:
+            tags.append("IDENT")
+            values.append(quoted[1:-1])
+        else:
+            message = _UNTERMINATED.get(bad, f"unexpected character {bad!r}")
+            return f"{message} (at position {pos})"
+    return tags, values
+
+
+def _mixed_case(word, upper):
+    return "".join(c.upper() if u else c for c, u in zip(word, upper))
+
+
+_OPERATORS = (
+    "<>", "==", "<=", ">=", "!=", "=", "<", ">", "(", ")", ",", ".", ";", "*", "+", "-", "/", "%",
+)
+_pieces = st.one_of(
+    st.builds(
+        _mixed_case,
+        st.sampled_from(sorted(KEYWORDS)),
+        st.lists(st.booleans(), min_size=9, max_size=9),
+    ),
+    st.sampled_from(_OPERATORS),
+    st.sampled_from(
+        (
+            "x", "Name", "_a1", "é", "a²", "K", "ǅ", "٣", "x٣", "²", "½", "Ⅷ",
+            "0", "12", "٣٤", ".5", "1.", "1.5", "1e+5", "1E-3", "1e", ".5e3",
+            "'", '"', "`", "''", "'a''b'", "'it''s", '"a""b"', '""', "`q q`", "``",
+            "?", "!", " ", "  ", "\t", "\n", "　",
+        )
+    ),
+    st.text(alphabet=" 'x\"`.1e+-٣²_", max_size=4),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.lists(_pieces, max_size=12).map("".join))
+@example(text="SeLeCt `a` FROM t WHERE x <> 'it''s' AND y == .5e3 '")
+@example(text="x 'ab''")
+@example(text='x "')
+@example(text="x `")
+def test_scan_agrees_with_the_six_group_lexer(text):
+    want = _six_group_scan(text)
+    try:
+        tags, values = scan(text)
+    except SqlParseError as err:
+        assert str(err) == want
+    else:
+        assert not isinstance(want, str), want
+        assert (tags, values) == (want[0] + ["END"] * 3, want[1] + [""] * 3)
+    starts = _six_group_starts(text)
+    assert [token_start(text, i) for i in range(len(starts) + 2)] == starts + [len(text)] * 2

@@ -9,12 +9,14 @@ import threading
 
 import pytest
 
+from linksql import promptgen
 from linksql.catalog import attach_samples
 from linksql.ingest import db_file_for
 from linksql.promptgen import (
     STAGES,
     PromptTemplateSet,
     emit_sft_dataset,
+    link_fields,
     prompt_parts,
     render_schema,
     render_table,
@@ -162,6 +164,51 @@ def test_serialize_link_target_catalog_order(catalogs):
     )
 
 
+def test_link_fields_put_unknown_names_after_known_ones(catalogs):
+    cat = catalogs["venue_events"]
+    target = LinkTarget(
+        tables=frozenset({"zeta", "event"}),
+        columns=frozenset(
+            {
+                ("event", "title"),
+                ("venue", "nowhere"),
+                ("zeta", "a"),
+                ("venue", "city"),
+                ("alpha", "b"),
+                ("event", "venue_id"),
+                ("venue", "venue_id"),
+            }
+        ),
+    )
+    assert link_fields(target, cat) == (
+        ("venue", "event", "alpha", "zeta"),
+        (
+            "venue.venue_id",
+            "venue.city",
+            "event.title",
+            "event.venue_id",
+            "alpha.b",
+            "venue.nowhere",
+            "zeta.a",
+        ),
+    )
+
+
+def test_derived_catalogs_rank_their_own_tables(catalogs, fixture_paths):
+    cat = dataclasses.replace(catalogs["venue_events"])
+    target = LinkTarget(columns=frozenset({("venue", "city"), ("event", "title")}))
+    assert cat.table_names == ("venue", "artist", "event", "performance")
+    assert link_fields(target, cat) == (("venue", "event"), ("venue.city", "event.title"))
+    reordered = dataclasses.replace(cat, tables=cat.tables[::-1])
+    assert reordered.table_names == ("performance", "event", "artist", "venue")
+    assert reordered.rank["event"] == 1 and reordered.rank["event", "title"] == (1, 1)
+    assert link_fields(target, reordered) == (("event", "venue"), ("event.title", "venue.city"))
+    sampled = attach_samples(cat, db_file_for(fixture_paths["db_root_a"], "venue_events"), 2)
+    assert sampled.rank == cat.rank and sampled.rank is not cat.rank
+    assert sampled.table_names == cat.table_names
+    assert sampled.table_names is not cat.table_names
+
+
 def test_serialize_empty_target(catalogs):
     text = serialize_link_target(LinkTarget(), catalogs["venue_events"])
     assert text == "tables:\ncolumns:"
@@ -283,6 +330,22 @@ def test_emit_dataset_stages(stage, split100, tmp_path):
         assert row["example_id"] == ex.example_id
         assert row["stage"] == stage
         assert row["db_id"] == ex.db_id
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_emit_derives_link_targets_only_where_a_record_uses_them(
+    stage, split100, tmp_path, monkeypatch
+):
+    calls = []
+
+    def spy(ast):
+        calls.append(ast)
+        return extract_link_targets(ast)
+
+    monkeypatch.setattr(promptgen, "extract_link_targets", spy)
+    manifest = emit_sft_dataset(split100.examples[:10], stage, tmp_path / f"{stage}.jsonl")
+    assert manifest["count"] == 10
+    assert len(calls) == (0 if stage == "full" else 10)
 
 
 def test_emit_prompt_joins_system_and_body(split100, catalogs, tmp_path):
