@@ -10,11 +10,13 @@ tolerance: two reals share a key iff they round to the same spelling,
 so values 1e-14 apart can straddle a rounding boundary (1.0000005 and
 1.00000049999999 differ) while values 4e-7 apart can share one. Unlike
 a tolerance it is transitive, which keeps multiset comparison well
-defined. Column order is free: two result tables count as identical
-when some single column permutation aligns them, matching the set
-treatment of select items. When the gold fixes its row order that
-needs no search: a permutation aligns the rows as sequences iff it
-aligns every column, so the two multisets of columns must be equal.
+defined. Since only a real has a key other than itself, a result is
+keyed only when one scan over its cells finds a real. Column order is
+free: two result tables count as identical when some single column
+permutation aligns them, matching the set treatment of select items.
+When the gold fixes its row order that needs no search: a permutation
+aligns the rows as sequences iff it aligns every column, so the two
+multisets of columns must be equal.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import time
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 from .catalog import DatabaseCatalog
@@ -128,19 +131,29 @@ class ConnectionSet:
 
     A connection is closed after any query that did more than read, and
     reopened on next use, so every query sees what a fresh connection would
-    show. Each query gets its own deadline. Opening a connection to a
-    file that is not there raises OSError. Not thread-safe; close()
-    releases everything.
+    show. Each connection gets its authorizer and progress handler once,
+    when it opens; the handler checks the deadline of whichever query
+    runs, so a reopened connection times out like the first. Opening a
+    connection to a file that is not there raises OSError. Not
+    thread-safe; close() releases everything.
     """
 
     def __init__(self) -> None:
         self._open: dict[Path, sqlite3.Connection] = {}
         self._dirty = False
+        self._deadline = 0.0
+        self._timed_out = False
 
     def _authorize(self, action, *_) -> int:
         if action not in _READ_ACTIONS:
             self._dirty = True
         return sqlite3.SQLITE_OK
+
+    def _progress(self) -> int:
+        if time.monotonic() > self._deadline:
+            self._timed_out = True
+            return 1  # SQLite interrupts the statement
+        return 0
 
     def _connection(self, db_file: Path) -> sqlite3.Connection:
         conn = self._open.get(db_file)
@@ -149,38 +162,32 @@ class ConnectionSet:
                 raise OSError(f"database file not readable: {db_file}")
             conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
             conn.set_authorizer(self._authorize)
+            conn.set_progress_handler(self._progress, 1000)
             self._open[db_file] = conn
         return conn
 
     def run(self, db_file: Path, sql: str, deadline: float) -> list[tuple]:
         """Execute one query; rows come back as tuples of canonical cell keys."""
-        timed_out = False
-
-        def check() -> int:
-            nonlocal timed_out
-            if time.monotonic() > deadline:
-                timed_out = True
-                return 1
-            return 0
-
         conn = self._connection(db_file)
-        conn.set_progress_handler(check, 1000)
+        self._deadline = deadline
+        self._timed_out = False
         self._dirty = False
         try:
             try:
                 cursor = conn.execute(sql)
                 rows = cursor.fetchall()
             except sqlite3.Error:
-                if timed_out:
+                if self._timed_out:
                     raise _Timeout()
                 raise
-            if timed_out:
+            if self._timed_out:
                 raise _Timeout()
             if cursor.description is None:
                 # empty or non-query statement; sqlite accepts it silently
                 raise sqlite3.OperationalError("statement produced no result set")
-            # only a real has a key other than itself
-            return [tuple(map(_cell_key, row)) if float in map(type, row) else row for row in rows]
+            if float in map(type, chain.from_iterable(rows)):
+                return [tuple(map(_cell_key, row)) for row in rows]
+            return rows
         finally:
             if self._dirty:
                 self._open.pop(db_file).close()
@@ -254,7 +261,8 @@ def ex_with_detail(
     prediction's deadline covers both its execution and the search for a
     column permutation that aligns the two result tables; when it runs
     out in either, the prediction scores ``timeout``."""
-    db_file = Path(db_file)
+    if isinstance(db_file, str):
+        db_file = Path(db_file)
     try:
         gold_rows = connections.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
     except _Timeout as err:

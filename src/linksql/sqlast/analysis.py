@@ -108,10 +108,14 @@ def clause_components(ast: QueryAst, ignore_values: bool = False) -> dict:
     """Order-insensitive canonical form of each clause, as a dict.
 
     Two queries are an exact set match iff their component dicts are
-    equal. Commutative structure (select items, AND/OR conjuncts, join
-    pairs, group keys, UNION/INTERSECT operands) is sorted; ORDER BY and
-    EXCEPT stay ordered. With ignore_values, literals compare as
-    placeholders and IN value lists collapse, but LIMIT keeps its value.
+    equal. Commutative structure is order-free: select items, AND/OR
+    conjuncts, join pairs, derived tables and IN lists become a bag, a
+    tuple when a part has fewer than two items and otherwise a
+    ``frozenset`` of (item, count) pairs, so duplicates still count; FROM
+    tables and group keys are sorted, and UNION/INTERSECT operands are
+    put in a fixed order. ORDER BY and EXCEPT stay ordered. With
+    ignore_values, literals compare as placeholders and IN value lists
+    collapse, but LIMIT keeps its value.
     """
     cq = _canon_query(ast, ignore_values)
     if cq[0] == "compound":
@@ -133,14 +137,16 @@ def exact_set_match(pred: QueryAst, gold: QueryAst, ignore_values: bool = False)
 def _canon_query(q: QueryAst, iv: bool) -> tuple:
     core = (
         "query",
-        (q.select_distinct, _sorted(_canon_expr(it, iv) for it in q.select_items)),
+        (q.select_distinct, _bag([_canon_expr(it, iv) for it in q.select_items])),
         (
             tuple(sorted(q.from_tables)),
-            _sorted(_canon_query(d.query, iv) for d in q.derived),
+            _bag([_canon_query(d.query, iv) for d in q.derived]),
         ),
-        _sorted(
-            (("col", p.left.table, p.left.column), ("col", p.right.table, p.right.column))
-            for p in q.join_conditions
+        _bag(
+            [
+                (("col", p.left.table, p.left.column), ("col", p.right.table, p.right.column))
+                for p in q.join_conditions
+            ]
         ),
         _canon_tree(q.where_tree, iv),
         tuple(sorted(("col", r.table, r.column) for r in q.group_by)),
@@ -154,12 +160,41 @@ def _canon_query(q: QueryAst, iv: bool) -> tuple:
     rhs = _canon_query(q.set_op.rhs, iv)
     operands = [core, rhs]
     if op in ("union", "intersect"):
-        operands.sort(key=repr)
+        operands.sort(key=_order_key)
     return ("compound", op, tuple(operands))
 
 
-def _sorted(items) -> tuple:
-    return tuple(sorted(items, key=repr))
+def _order_key(part) -> str:
+    """The spelling of a canonical part, with each bag's items in sorted
+    order: equal parts spell alike, however their bags iterate."""
+    if isinstance(part, frozenset):
+        return "{" + ", ".join(sorted([_order_key(item) for item in part])) + "}"
+    if isinstance(part, tuple):
+        # A loop, so that each level of a deep expression takes one frame
+        # of the recursion limit, as it does in _canon_expr.
+        spelled = []
+        for item in part:
+            spelled.append(_order_key(item))
+        return "(" + ", ".join(spelled) + ")"
+    return repr(part)
+
+
+def _bag(items: list) -> tuple | frozenset:
+    """The multiset of ``items`` in a hashable form that ignores order: the
+    items themselves when there are fewer than two, else their counts."""
+    if len(items) < 2:
+        return tuple(items)
+    counts: dict = {}
+    for item in items:  # for two or three items, faster than a Counter
+        counts[item] = counts.get(item, 0) + 1
+    return frozenset(counts.items())
+
+
+def _bag_items(bag: tuple | frozenset):
+    """Every item of a ``_bag``, each as often as it was put in."""
+    if isinstance(bag, tuple):
+        return bag
+    return [item for item, count in bag for _ in range(count)]
 
 
 def _canon_expr(expr, iv: bool) -> tuple:
@@ -185,10 +220,10 @@ def _canon_tree(tree, iv: bool):
             c = _canon_tree(child, iv)
             # Re-flatten: nested same-op nodes merge into one level.
             if isinstance(c, tuple) and len(c) == 2 and c[0] == tree.op:
-                children.extend(c[1])
+                children.extend(_bag_items(c[1]))
             else:
                 children.append(c)
-        return (tree.op, _sorted(children))
+        return (tree.op, _bag(children))
     pred: Predicate = tree
     lhs = _canon_expr(pred.lhs, iv) if pred.lhs is not None else None
     rhs = pred.rhs
@@ -200,7 +235,7 @@ def _canon_tree(tree, iv: bool):
         if iv:
             rhs_c = ("list", (("lit", "?", "?"),))
         else:
-            rhs_c = ("list", _sorted(_canon_expr(v, False) for v in rhs))
+            rhs_c = ("list", _bag([_canon_expr(v, False) for v in rhs]))
     else:
         rhs_c = _canon_expr(rhs, iv)
     return ("pred", pred.op, lhs, rhs_c)

@@ -43,16 +43,18 @@ class Token(NamedTuple):
 
 # One match per token, in the order the alternatives are tried: a word, a
 # number, a quoted string, a backquoted name, an operator, any other
-# non-space character. NUM comes before OP so that ".5" is a number, while a
-# dot before anything but a digit is the qualifier operator. A closing quote
-# must not be followed by the same quote, which would make it half of an
-# escaped pair. Only whitespace is left between matches. The pattern has no
-# capture groups, so ``findall`` returns the token texts themselves; ``scan``
-# looks each up in ``_FIXED_TAGS`` and tells the rest apart by their first
-# character.
+# non-space character. A number is ASCII digits, as in SQLite, which reads
+# any other digit as part of a name; a word does not start with a digit,
+# so a token that starts with another digit is an error. NUM comes before
+# OP so that ".5" is a number, while a dot before anything but a digit is
+# the qualifier operator. A closing quote must not be followed by the same
+# quote, which would make it half of an escaped pair. Only whitespace is
+# left between matches. The pattern has no capture groups, so ``findall``
+# returns the token texts themselves; ``scan`` looks each up in
+# ``_FIXED_TAGS`` and tells the rest apart by their first character.
 _TOKEN = re.compile(
     r"""[^\W\d]\w*
-    |(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?
+    |(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
     |'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!")
     |`[^`]*`
     |<>|==|[<>!]=|[=<>(),.;*+\-/%]
@@ -82,9 +84,9 @@ def scan(text: str) -> tuple[list[str], list[str]]:
     """The tags and values of the tokens of text, then END padding.
 
     A tag is a keyword (lower case) or an operator as written, else IDENT,
-    NUM or STR; a number is Unicode decimal digits and an identifier a
-    letter or _, then letters, digits or _. Positions are left out: they
-    are only needed for an error, and ``token_start`` finds them then.
+    NUM or STR; a number is ASCII digits and an identifier a letter or _,
+    then letters, digits or _. Positions are left out: they are only
+    needed for an error, and ``token_start`` finds them then.
     """
     tags: list[str] = []
     values: list[str] = []
@@ -107,7 +109,7 @@ def scan(text: str) -> tuple[list[str], list[str]]:
             else:
                 add_tag("IDENT")
                 add_value(token)
-        elif first.isdecimal() or first == ".":  # a lone "." is fixed
+        elif first in "0123456789.":  # a lone "." is fixed
             add_tag("NUM")
             add_value(token)
         # a quote alone is one that no closing quote matched

@@ -1,10 +1,11 @@
 """Immutable AST node types for the supported SQL dialect.
 
-All nodes are frozen dataclasses so whole trees are hashable and safe to
-share. Identifier fields hold catalog normal-form names after resolution;
-derived tables (subqueries in FROM) get positional scope-local names of
-the form ``#sq0``, ``#sq1`` so structurally equal queries compare equal
-regardless of the aliases the author chose.
+All nodes are frozen dataclasses with slots, so whole trees are hashable
+and safe to share, and a node costs no instance dict. Identifier fields
+hold catalog normal-form names after resolution; derived tables
+(subqueries in FROM) get positional scope-local names of the form
+``#sq0``, ``#sq1`` so structurally equal queries compare equal regardless
+of the aliases the author chose.
 
 A select item is a plain expression, like any other value position, so an
 aggregate call is an ``Agg`` node wherever it is written: ``count(*)`` in
@@ -24,14 +25,14 @@ SET_OPS = ("union", "intersect", "except")
 DERIVED_PREFIX = "#sq"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     """The ``*`` projection, optionally qualified (``t.*``)."""
 
     table: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnRef:
     """A resolved column: (table normal name, column normal name)."""
 
@@ -43,7 +44,7 @@ class ColumnRef:
         return self.table.startswith(DERIVED_PREFIX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A literal value with a canonical text form.
 
@@ -72,7 +73,7 @@ class Literal:
         return cls("str", raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Agg:
     """An aggregate call over an expression (or ``*``)."""
 
@@ -81,7 +82,7 @@ class Agg:
     arg: object  # Star | ColumnRef | Arith | Literal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arith:
     """A binary arithmetic expression."""
 
@@ -94,7 +95,7 @@ class Arith:
 Expr = object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     """A comparison leaf in a WHERE/HAVING tree.
 
@@ -108,7 +109,7 @@ class Predicate:
     rhs: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolNode:
     """An AND/OR node; children are Predicates or nested BoolNodes."""
 
@@ -116,7 +117,7 @@ class BoolNode:
     children: tuple[object, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinPair:
     """An unordered equality between two columns from a JOIN ... ON clause."""
 
@@ -129,13 +130,13 @@ class JoinPair:
         return cls(first, second)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderItem:
     expr: Expr
     direction: str  # "asc" | "desc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivedTable:
     """A subquery in FROM, known by its positional scope-local name."""
 
@@ -143,13 +144,13 @@ class DerivedTable:
     query: "QueryAst"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetOp:
     op: str  # "union" | "intersect" | "except"
     rhs: "QueryAst"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryAst:
     """A fully resolved SELECT query.
 
@@ -184,7 +185,7 @@ class QueryAst:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkTarget:
     """The tables and qualified columns a query uses."""
 

@@ -1,13 +1,22 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querygen import make_corpus
+
 from linksql.sqlast import (
+    SqlError,
     clause_components,
     exact_set_match,
     extract_link_targets,
     parse_sql,
+    tokenize,
 )
+from linksql.sqlast.analysis import _order_key
+from linksql.sqlast.nodes import Agg, BoolNode, ColumnRef, Literal, QueryAst, Star
 
 
 @pytest.fixture
@@ -353,3 +362,196 @@ def test_em_symmetric_on_twin_and_variant(catalogs, corpus, data):
             assert exact_set_match(gold, other, ignore_values=iv) == exact_set_match(
                 other, gold, ignore_values=iv
             )
+
+
+# -- agreement with the repr-sorted canonical form -------------------------
+
+# The canonical form before bags: each order-free part a tuple sorted by
+# repr. It is kept here as the reference that exact_set_match must agree
+# with.
+
+
+def _ref_components(ast, iv):
+    cq = _ref_query(ast, iv)
+    if cq[0] == "compound":
+        _, op, operands = cq
+        core, set_entry = operands[0], (op, operands)
+    else:
+        core, set_entry = cq, None
+    keys = ("select", "from", "joins", "where", "group_by", "having", "order_by", "limit")
+    parts = dict(zip(keys, core[1:]))
+    parts["set_op"] = set_entry
+    return parts
+
+
+def _ref_em(pred, gold, iv):
+    return _ref_components(pred, iv) == _ref_components(gold, iv)
+
+
+def _ref_sorted(items):
+    return tuple(sorted(items, key=repr))
+
+
+def _ref_query(q, iv):
+    core = (
+        "query",
+        (q.select_distinct, _ref_sorted(_ref_expr(it, iv) for it in q.select_items)),
+        (tuple(sorted(q.from_tables)), _ref_sorted(_ref_query(d.query, iv) for d in q.derived)),
+        _ref_sorted(
+            (("col", p.left.table, p.left.column), ("col", p.right.table, p.right.column))
+            for p in q.join_conditions
+        ),
+        _ref_tree(q.where_tree, iv),
+        tuple(sorted(("col", r.table, r.column) for r in q.group_by)),
+        _ref_tree(q.having_tree, iv),
+        tuple((_ref_expr(o.expr, iv), o.direction) for o in q.order_by),
+        q.limit,
+    )
+    if q.set_op is None:
+        return core
+    operands = [core, _ref_query(q.set_op.rhs, iv)]
+    if q.set_op.op in ("union", "intersect"):
+        operands.sort(key=repr)
+    return ("compound", q.set_op.op, tuple(operands))
+
+
+def _ref_expr(expr, iv):
+    if isinstance(expr, Star):
+        return ("star", expr.table)
+    if isinstance(expr, ColumnRef):
+        return ("col", expr.table, expr.column)
+    if isinstance(expr, Literal):
+        return ("lit", "?", "?") if iv else ("lit", expr.kind, expr.text)
+    if isinstance(expr, Agg):
+        return ("agg", expr.func, expr.distinct, _ref_expr(expr.arg, iv))
+    return ("arith", expr.op, _ref_expr(expr.left, iv), _ref_expr(expr.right, iv))
+
+
+def _ref_tree(tree, iv):
+    if tree is None:
+        return None
+    if isinstance(tree, BoolNode):
+        children = []
+        for child in tree.children:
+            c = _ref_tree(child, iv)
+            if isinstance(c, tuple) and len(c) == 2 and c[0] == tree.op:
+                children.extend(c[1])
+            else:
+                children.append(c)
+        return (tree.op, _ref_sorted(children))
+    lhs = _ref_expr(tree.lhs, iv) if tree.lhs is not None else None
+    rhs = tree.rhs
+    if isinstance(rhs, QueryAst):
+        rhs_c = ("subq", _ref_query(rhs, iv))
+    elif isinstance(rhs, tuple) and tree.op == "between":
+        rhs_c = ("range", _ref_expr(rhs[0], iv), _ref_expr(rhs[1], iv))
+    elif isinstance(rhs, tuple):
+        values = (("lit", "?", "?"),) if iv else _ref_sorted(_ref_expr(v, False) for v in rhs)
+        rhs_c = ("list", values)
+    else:
+        rhs_c = _ref_expr(rhs, iv)
+    return ("pred", tree.op, lhs, rhs_c)
+
+
+def _assert_em_agrees(a, b):
+    for iv in (False, True):
+        assert exact_set_match(a, b, iv) == _ref_em(a, b, iv)
+        assert exact_set_match(b, a, iv) == _ref_em(b, a, iv)
+
+
+def _mutants(text, rng, count):
+    """Texts made from ``text`` by deleting, repeating, swapping or copying
+    over one token."""
+    tokens = tokenize(text)
+    starts = [t.pos for t in tokens]
+    pieces = [text[a:b].strip() for a, b in zip(starts, starts[1:])]
+    for _ in range(count):
+        out = list(pieces)
+        i = rng.randrange(len(out))
+        how = rng.randrange(4)
+        if how == 0:
+            del out[i]
+        elif how == 1:
+            out.insert(i, out[i])
+        elif how == 2 and i + 1 < len(out):
+            out[i], out[i + 1] = out[i + 1], out[i]
+        else:
+            out[i] = rng.choice(pieces)
+        yield " ".join(out)
+
+
+@pytest.mark.parametrize("seed", [20240, 7])
+def test_em_agrees_with_repr_sorted_form(pools, catalogs, seed):
+    rng = random.Random(seed)
+    outcomes = Counter()
+    for q in make_corpus(pools, per_schema=400, seed=seed):
+        cat = catalogs[q.db_id]
+        texts = [t for t in (q.sql, q.twin_sql, q.variant_sql) if t is not None]
+        asts = [parse_sql(t, cat) for t in texts]
+        for other in asts:
+            _assert_em_agrees(asts[0], other)
+        _assert_em_agrees(asts[1], asts[-1])
+        for text in texts:
+            for mutant in _mutants(text, rng, 3):
+                try:
+                    ast = parse_sql(mutant, cat)
+                except SqlError:
+                    continue
+                _assert_em_agrees(ast, asts[0])
+                outcomes[exact_set_match(ast, asts[0])] += 1
+    # the mutants that parse include matches (a swap of equal tokens, a
+    # commuted operand) and mismatches
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
+
+
+@pytest.mark.parametrize(
+    "a, b, same",
+    [
+        (
+            "SELECT Name FROM Venue WHERE (City = 'a' AND Capacity > 5)"
+            " AND (Outdoor = 1 AND Venue_ID < 9)",
+            "SELECT Name FROM Venue WHERE City = 'a' AND Capacity > 5"
+            " AND Outdoor = 1 AND Venue_ID < 9",
+            True,
+        ),
+        (
+            "SELECT Name FROM Venue WHERE (City = 'a' AND City = 'a')"
+            " AND (City = 'a' OR Outdoor = 1)",
+            "SELECT Name FROM Venue WHERE City = 'a'"
+            " AND (Outdoor = 1 OR City = 'a') AND City = 'a'",
+            True,
+        ),
+        (
+            "SELECT Name FROM Venue WHERE (City = 'a' AND City = 'a') AND Outdoor = 1",
+            "SELECT Name FROM Venue WHERE City = 'a' AND Outdoor = 1",
+            False,
+        ),
+        ("SELECT Name, Name FROM Venue", "SELECT Name FROM Venue", False),
+        ("SELECT Name, City, Name FROM Venue", "SELECT Name, Name, City FROM Venue", True),
+        ("SELECT Name, City, Name FROM Venue", "SELECT Name, City, City FROM Venue", False),
+        (
+            "SELECT Name FROM Venue WHERE City IN ('a', 'a', 'b')",
+            "SELECT Name FROM Venue WHERE City IN ('b', 'a')",
+            False,
+        ),
+    ],
+    ids=[
+        "two-nested-ands",
+        "repeated-conjunct",
+        "twice-vs-once",
+        "duplicate-select-item",
+        "reordered-duplicates",
+        "other-duplicate",
+        "in-list-duplicate",
+    ],
+)
+def test_bags_flatten_and_count_as_before(cat, a, b, same):
+    a, b = parse_sql(a, cat), parse_sql(b, cat)
+    assert exact_set_match(a, b) is same
+    _assert_em_agrees(a, b)
+
+
+def test_union_operand_order_ignores_bag_iteration():
+    # 0 and 8 share a slot of a small set, so insertion order decides
+    # which comes first when the set is iterated
+    assert _order_key(frozenset([0, 8])) == _order_key(frozenset([8, 0]))

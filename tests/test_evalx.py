@@ -96,6 +96,17 @@ def test_em_detail_pred_parse_error(cat):
         assert not matched and kind == "pred_parse_error", pred[:40]
 
 
+def test_unicode_digit_is_not_a_number(cat, venue_db, conns):
+    # SQLite reads ٣ as a column name, so EM must not read it as 3
+    gold = "SELECT Name FROM Venue WHERE Capacity > 3"
+    pred = "SELECT Name FROM Venue WHERE Capacity > ٣"
+    assert em_with_detail(pred, parse_sql(gold, cat), cat) == (False, "pred_parse_error")
+    assert ex_with_detail(pred, gold, venue_db, conns, ordered=False) == (
+        False,
+        "pred_exec_error",
+    )
+
+
 def test_em_detail_component_mismatch(cat):
     gold = parse_sql("SELECT Name FROM Venue", cat)
     matched, kind = em_with_detail("SELECT City FROM Venue", gold, cat)
@@ -433,6 +444,13 @@ def test_ex_missing_db_is_infrastructure(tmp_path, conns):
         ex_with_detail("SELECT 1", "SELECT 1", tmp_path / "none.sqlite", conns, ordered=False)
 
 
+def test_ex_takes_the_database_path_as_a_string(scratch_db, tmp_path, conns):
+    query = "SELECT a FROM t"
+    assert ex_with_detail(query, query, str(scratch_db), conns, ordered=False) == (True, None)
+    with pytest.raises(OSError, match="not readable"):
+        ex_with_detail(query, query, str(tmp_path / "none.sqlite"), conns, ordered=False)
+
+
 def test_opening_a_connection_checks_the_file(scratch_db, conns, tmp_path):
     query = "SELECT a FROM t"
     with pytest.raises(OSError, match="not readable"):
@@ -448,6 +466,24 @@ def test_opening_a_connection_checks_the_file(scratch_db, conns, tmp_path):
     )
     with pytest.raises(OSError, match="not readable"):
         ex_with_detail(query, query, scratch_db, conns, ordered=False)
+
+
+def test_reopened_connection_keeps_the_deadline(fixture_paths, conns):
+    library = db_file_for(fixture_paths["db_root_a"], "library")
+    # a pragma marks the connection dirty: it is closed, and the next query
+    # runs on a new one
+    assert ex_with_detail(
+        "PRAGMA case_sensitive_like=1", "SELECT 1", library, conns, ordered=False
+    ) == (False, "pred_exec_error")
+    assert library not in conns._open
+    cross = "SELECT count(*) FROM Loan AS a, Loan AS b, Loan AS c, Loan AS d, Loan AS e"
+    start = time.monotonic()
+    assert ex_with_detail(
+        cross, "SELECT 1", library, conns, ordered=False, timeout_ms=200
+    ) == (False, "timeout")
+    assert time.monotonic() - start < 5
+    query = "SELECT Title FROM Book"
+    assert ex_with_detail(query, query, library, conns, ordered=False) == (True, None)
 
 
 def test_ex_readonly_cannot_mutate(scratch_db, conns):
@@ -762,6 +798,29 @@ def test_timeout_on_reused_connection_then_normal_query(venue_split):
     assert time.monotonic() - start < 5
     assert _outcome(report.verdicts[0]) == ("t:0", False, False, "timeout")
     assert _outcome(report.verdicts[1]) == ("t:1", True, True, None)
+
+
+@pytest.mark.parametrize(
+    "gold, pred, n",
+    [
+        # two select items: the canonical sum is hashed into a bag; 950
+        # terms is about as deep as SQLite's expression limit allows
+        ("SELECT Name, {sum} FROM Venue", "select {spaced}, name from venue", 950),
+        # UNION operands: the canonical sum is also spelled, to order them,
+        # which takes a few more frames of the recursion limit
+        (
+            "SELECT {sum} FROM Venue UNION SELECT Capacity FROM Venue",
+            "select capacity from venue union select {spaced} from venue",
+            930,
+        ),
+    ],
+    ids=["select-list", "union"],
+)
+def test_long_sum_gets_a_verdict(venue_split, gold, pred, n):
+    sums = {"sum": "+".join(["1"] * n), "spaced": " + ".join(["1"] * n)}
+    split = venue_split(gold.format(**sums))
+    report = evaluate_split("full", split, {"t:0": pred.format(**sums)})
+    assert [_outcome(v) for v in report.verdicts] == [("t:0", True, True, None)]
 
 
 def test_evaluate_split_cannot_mutate(venue_split, venue_db):

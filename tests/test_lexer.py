@@ -48,6 +48,10 @@ CASES = [
     ("a²", [("IDENT", "a²", 0), ("END", "", 2)]),
     ("a\u3000b", [("IDENT", "a", 0), ("IDENT", "b", 2), ("END", "", 3)]),
     ("x Ⅷ", "unexpected character 'Ⅷ' (at position 2)"),
+    # a number is ASCII digits: any other digit starts no token
+    ("x ٣", "unexpected character '٣' (at position 2)"),
+    ("1٣", "unexpected character '٣' (at position 1)"),
+    ("x٣", [("IDENT", "x٣", 0), ("END", "", 2)]),
     ("x ½", "unexpected character '½' (at position 2)"),
     ("a ? b", "unexpected character '?' (at position 2)"),
     # unterminated quotes fail at the opening quote
@@ -80,11 +84,12 @@ def test_is_kw_matches_keywords_only():
 
 # The lexer before ``scan`` told token kinds apart by the regex alone: one
 # capture group per kind, the whitespace before a token folded into its
-# match. It is kept here as the reference that ``scan`` must agree with.
+# match. It is kept here as the reference that ``scan`` must agree with,
+# with numbers of ASCII digits only, as the dialect now reads them.
 _SIX_GROUPS = re.compile(
     r"""\s*(?:
     ([^\W\d]\w*)
-    |((?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)
+    |((?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
     |('[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))
     |(`[^`]*`)
     |(<>|==|[<>!]=|[=<>(),.;*+\-/%])
