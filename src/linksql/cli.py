@@ -116,7 +116,7 @@ def _cmd_infer(args) -> int:
         backoff_seconds=args.backoff_seconds,
     )
     mode = args.mode.replace("-", "_")
-    traces = run_pipeline(mode, split, templates, config, trace_path=args.out)
+    traces = run_pipeline(mode, split, config, templates, trace_path=args.out)
     failures = [t.error for t in traces if t.error is not None]
     print(f"traced {len(traces)} examples to {args.out} ({len(failures)} failures)")
     if traces and len(failures) == len(traces):

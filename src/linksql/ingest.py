@@ -39,10 +39,12 @@ def load_split(
     examples_file: str | Path,
     catalogs: dict[str, DatabaseCatalog],
     db_root: str | Path,
-    name: str | None = None,
     sample_rows: int = 0,
 ) -> Split:
     """Read a JSON array of {question, query, db_id} records, in order.
+
+    The split is named after the file's stem, and each example's id is
+    ``<stem>:<record index>``.
 
     Each record must be an object whose three fields are strings; extra
     fields are ignored. Any record naming a db_id without a loaded catalog
@@ -54,7 +56,7 @@ def load_split(
     execution-ineligible and without samples.
     """
     examples_file = Path(examples_file)
-    split_name = name if name is not None else examples_file.stem
+    split_name = examples_file.stem
     with examples_file.open("r", encoding="utf-8") as fh:
         records = json.load(fh)
     if not isinstance(records, list):

@@ -279,8 +279,8 @@ def extract_sql(completion: str) -> str:
 def run_pipeline(
     mode: str,
     split: Split,
+    config: EndpointConfig,
     templates: PromptTemplateSet | None = None,
-    config: EndpointConfig | None = None,
     trace_path: str | Path | None = None,
     timer=time.monotonic,
     sleep=time.sleep,
@@ -292,8 +292,6 @@ def run_pipeline(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if config is None:
-        raise ValueError("an EndpointConfig is required")
     if templates is None:
         templates = PromptTemplateSet.load()
 

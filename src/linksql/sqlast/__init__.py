@@ -1,6 +1,6 @@
-"""SQL parsing, analysis, and rendering for the supported SELECT dialect."""
+"""SQL parsing and analysis for the supported SELECT dialect."""
 
-from .analysis import clause_components, exact_set_match, extract_link_targets, render_sql
+from .analysis import clause_components, exact_set_match, extract_link_targets
 from .lexer import SqlError, SqlParseError, tokenize
 from .nodes import (
     AGGREGATES,
@@ -50,6 +50,5 @@ __all__ = [
     "exact_set_match",
     "extract_link_targets",
     "parse_sql",
-    "render_sql",
     "tokenize",
 ]

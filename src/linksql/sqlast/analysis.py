@@ -1,19 +1,17 @@
-"""AST consumers: link-target extraction, canonical clause decomposition
-for exact set match, and rendering back to SQL text.
+"""AST consumers: link-target extraction and canonical clause
+decomposition for exact set match.
 """
 
 from __future__ import annotations
 
-from ..catalog import DatabaseCatalog
 from .nodes import (
+    DERIVED_PREFIX,
     Agg,
     Arith,
     BoolNode,
     ColumnRef,
-    DerivedTable,
     LinkTarget,
     Literal,
-    OrderItem,
     Predicate,
     QueryAst,
     Star,
@@ -111,11 +109,12 @@ def clause_components(ast: QueryAst, ignore_values: bool = False) -> dict:
     equal. Commutative structure is order-free: select items, AND/OR
     conjuncts, join pairs, derived tables and IN lists become a bag, a
     tuple when a part has fewer than two items and otherwise a
-    ``frozenset`` of (item, count) pairs, so duplicates still count; FROM
-    tables and group keys are sorted, and UNION/INTERSECT operands are
-    put in a fixed order. ORDER BY and EXCEPT stay ordered. With
-    ignore_values, literals compare as placeholders and IN value lists
-    collapse, but LIMIT keeps its value.
+    ``frozenset`` of (item, count) pairs, so duplicates still count. FROM
+    tables (one per FROM entry, so a self join keeps both) and group keys
+    are sorted, and UNION/INTERSECT operands are put in a fixed order.
+    ORDER BY and EXCEPT stay ordered. With ignore_values, literals
+    compare as placeholders and IN value lists collapse, but LIMIT keeps
+    its value.
     """
     cq = _canon_query(ast, ignore_values)
     if cq[0] == "compound":
@@ -139,7 +138,7 @@ def _canon_query(q: QueryAst, iv: bool) -> tuple:
         "query",
         (q.select_distinct, _bag([_canon_expr(it, iv) for it in q.select_items])),
         (
-            tuple(sorted(q.from_tables)),
+            tuple(sorted([t for t in q.from_order if not t.startswith(DERIVED_PREFIX)])),
             _bag([_canon_query(d.query, iv) for d in q.derived]),
         ),
         _bag(
@@ -239,127 +238,3 @@ def _canon_tree(tree, iv: bool):
     else:
         rhs_c = _canon_expr(rhs, iv)
     return ("pred", pred.op, lhs, rhs_c)
-
-
-# -- rendering -------------------------------------------------------------
-
-
-def render_sql(ast: QueryAst) -> str:
-    """Serialize an AST back to executable SQL.
-
-    Faithful for queries without self joins (the AST identifies columns
-    by canonical table name, so two FROM entries of the same table cannot
-    be told apart when rendering).
-    """
-    text = _render_core(ast)
-    if ast.set_op is not None:
-        text += f" {ast.set_op.op.upper()} " + render_sql(ast.set_op.rhs)
-    return text
-
-
-def _render_core(q: QueryAst) -> str:
-    parts = ["SELECT"]
-    if q.select_distinct:
-        parts.append("DISTINCT")
-    parts.append(", ".join(_render_expr(it) for it in q.select_items))
-    parts.append("FROM")
-    parts.append(_render_from(q))
-    if q.where_tree is not None:
-        parts += ["WHERE", _render_tree(q.where_tree, top=True)]
-    if q.group_by:
-        parts += ["GROUP BY", ", ".join(_render_expr(r) for r in q.group_by)]
-    if q.having_tree is not None:
-        parts += ["HAVING", _render_tree(q.having_tree, top=True)]
-    if q.order_by:
-        parts += [
-            "ORDER BY",
-            ", ".join(f"{_render_expr(o.expr)} {o.direction.upper()}" for o in q.order_by),
-        ]
-    if q.limit is not None:
-        parts += ["LIMIT", str(q.limit)]
-    return " ".join(parts)
-
-
-def _render_from(q: QueryAst) -> str:
-    position = {name: idx for idx, name in enumerate(q.from_order)}
-    by_join: dict[int, list] = {}
-    pair_key = lambda p: (p.left.table, p.left.column, p.right.table, p.right.column)
-    for pair in sorted(q.join_conditions, key=pair_key):
-        idx = max(position[pair.left.table], position[pair.right.table])
-        by_join.setdefault(idx, []).append(pair)
-    derived = {d.name: d for d in q.derived}
-    rendered = []
-    for idx, name in enumerate(q.from_order):
-        src = _render_source(name, derived)
-        if idx == 0:
-            rendered.append(src)
-            continue
-        conds = by_join.get(idx)
-        if conds:
-            on = " AND ".join(
-                f"{_render_expr(p.left)} = {_render_expr(p.right)}" for p in conds
-            )
-            rendered.append(f"JOIN {src} ON {on}")
-        else:
-            rendered.append(f"JOIN {src}")
-    return " ".join(rendered)
-
-
-def _render_source(name: str, derived: dict[str, DerivedTable]) -> str:
-    if name in derived:
-        return f"({render_sql(derived[name].query)}) AS {name.lstrip('#')}"
-    return name
-
-
-def _render_expr(expr) -> str:
-    if isinstance(expr, Star):
-        return "*" if expr.table is None else f"{expr.table.lstrip('#')}.*"
-    if isinstance(expr, ColumnRef):
-        return f"{expr.table.lstrip('#')}.{expr.column}"
-    if isinstance(expr, Literal):
-        if expr.kind == "str":
-            escaped = expr.text.replace("'", "''")
-            return f"'{escaped}'"
-        return expr.text
-    if isinstance(expr, Agg):
-        inner = _render_expr(expr.arg)
-        if expr.distinct:
-            inner = f"DISTINCT {inner}"
-        return f"{expr.func}({inner})"
-    if isinstance(expr, Arith):
-        left = _render_operand(expr.left)
-        right = _render_operand(expr.right)
-        return f"{left} {expr.op} {right}"
-    raise TypeError(f"unexpected expression node {expr!r}")
-
-
-def _render_operand(expr) -> str:
-    text = _render_expr(expr)
-    return f"({text})" if isinstance(expr, Arith) else text
-
-
-def _render_tree(tree, top: bool = False) -> str:
-    if isinstance(tree, Predicate):
-        return _render_pred(tree)
-    node: BoolNode = tree
-    joiner = f" {node.op.upper()} "
-    text = joiner.join(_render_tree(c) for c in node.children)
-    return text if top else f"({text})"
-
-
-def _render_pred(pred: Predicate) -> str:
-    if pred.op == "exists":
-        return f"EXISTS ({render_sql(pred.rhs)})"
-    lhs = _render_expr(pred.lhs)
-    rhs = pred.rhs
-    if pred.op == "between":
-        return f"{lhs} BETWEEN {_render_expr(rhs[0])} AND {_render_expr(rhs[1])}"
-    if pred.op in ("in", "not in"):
-        if isinstance(rhs, QueryAst):
-            inner = render_sql(rhs)
-        else:
-            inner = ", ".join(_render_expr(v) for v in rhs)
-        return f"{lhs} {pred.op.upper()} ({inner})"
-    if isinstance(rhs, QueryAst):
-        return f"{lhs} {pred.op.upper()} ({render_sql(rhs)})"
-    return f"{lhs} {pred.op.upper()} {_render_expr(rhs)}"

@@ -59,7 +59,7 @@ def split100(fixture_paths, catalogs, corpus, tmp_path_factory):
     ]
     path = tmp_path_factory.mktemp("split") / "dev.json"
     path.write_text(json.dumps(entries), encoding="utf-8")
-    return load_split(path, catalogs, fixture_paths["db_root_a"], name="dev")
+    return load_split(path, catalogs, fixture_paths["db_root_a"])
 
 
 @pytest.fixture(scope="session")

@@ -94,6 +94,11 @@ def test_aliases_do_not_matter(cat):
         "SELECT Event.Title FROM Event JOIN Venue ON Event.Venue_ID = Venue.Venue_ID",
         "SELECT T1.Title FROM Event AS T1 JOIN Venue AS T2 ON T1.Venue_ID = T2.Venue_ID",
     )
+    assert em(
+        cat,
+        "SELECT count(*) FROM Venue AS a JOIN Venue AS b",
+        "SELECT count(*) FROM Venue AS x, Venue AS y",
+    )
 
 
 def test_keyword_case_immaterial(cat):

@@ -719,6 +719,22 @@ def test_ambiguous_column_fails_em_as_it_fails_ex(cat, venue_db, conns):
     )
 
 
+@pytest.mark.parametrize(
+    "pred",
+    [
+        "SELECT count(*) FROM Loan AS a, Loan AS b",
+        "SELECT count(*) FROM Loan AS a JOIN Loan AS b",
+    ],
+)
+def test_self_join_is_not_an_exact_match_of_its_table(catalogs, fixture_paths, conns, pred):
+    cat = catalogs["library"]
+    library = db_file_for(fixture_paths["db_root_a"], "library")
+    gold = "SELECT count(*) FROM Loan"
+    v = evaluate_pair("e:0", pred, gold, parse_sql(gold, cat), cat, library, conns)
+    assert not v.exact_match and not v.execution_match
+    assert v.failure_kind == "result_mismatch"
+
+
 def test_evaluate_split_matches_evaluate_pair_on_corpus(corpus, catalogs, fixture_paths):
     picked = corpus[::3]
     split = _split(catalogs, fixture_paths["db_root_a"], [(q.db_id, q.sql) for q in picked])

@@ -23,9 +23,9 @@ def test_load_happy_path(catalogs, fixture_paths, tmp_path):
         {"question": "how many venues?", "query": "SELECT count(*) FROM Venue", "db_id": "venue_events"},
         {"question": "books?", "query": "SELECT Title FROM Book", "db_id": "library", "extra": 1},
     ]
-    split = load_split(_write(tmp_path, records), catalogs, fixture_paths["db_root_a"], name="toy")
-    assert split.name == "toy"
-    assert [e.example_id for e in split.examples] == ["toy:0", "toy:1"]
+    split = load_split(_write(tmp_path, records), catalogs, fixture_paths["db_root_a"])
+    assert split.name == "split"  # the file's stem
+    assert [e.example_id for e in split.examples] == ["split:0", "split:1"]
     assert split.examples[0].question == "how many venues?"
     assert split.examples[0].gold_sql == "SELECT count(*) FROM Venue"
     assert split.examples[1].db_id == "library"

@@ -20,7 +20,6 @@ from linksql.sqlast import (
     Star,
     exact_set_match,
     parse_sql,
-    render_sql,
 )
 
 
@@ -474,17 +473,6 @@ def test_dialect_errors_share_one_base(cat, sql):
 # -- properties ------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_render_roundtrip_preserves_match(catalogs, corpus, data):
-    q = data.draw(st.sampled_from(corpus))
-    cat = catalogs[q.db_id]
-    ast = parse_sql(q.sql, cat)
-    again = parse_sql(render_sql(ast), cat)
-    assert exact_set_match(ast, again)
-    assert exact_set_match(ast, again, ignore_values=True)
-
-
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(min_value=-(10**9), max_value=10**9))
 def test_integer_spellings_equivalent(catalogs, n):
@@ -495,12 +483,11 @@ def test_integer_spellings_equivalent(catalogs, n):
 
 
 @pytest.mark.parametrize("number, text", [("1e999", "1e999"), ("-2e400", "-1e999")])
-def test_literal_beyond_float_range_roundtrips(catalogs, number, text):
-    # it used to render as inf and -inf, which do not parse back
+def test_literal_beyond_float_range_is_spelled_1e999(catalogs, number, text):
+    # not inf or -inf, which do not parse back as numbers
     cat = catalogs["venue_events"]
     ast = parse_sql(f"SELECT Name FROM Venue WHERE Capacity > {number}", cat)
     assert ast.where_tree.rhs == Literal("num", text)
-    assert parse_sql(render_sql(ast), cat) == ast
 
 
 _SAFE_TEXT = st.text(
@@ -512,12 +499,10 @@ _SAFE_TEXT = st.text(
 
 @settings(max_examples=80, deadline=None)
 @given(s=_SAFE_TEXT)
-def test_string_literals_roundtrip(catalogs, s):
+def test_string_literals_keep_their_text(catalogs, s):
     cat = catalogs["venue_events"]
     ast = parse_sql(f"SELECT Name FROM Venue WHERE City = '{s}'", cat)
     assert ast.where_tree.rhs == Literal("str", s)
-    again = parse_sql(render_sql(ast), cat)
-    assert exact_set_match(ast, again)
 
 
 _NESTED_TEXT = st.builds(
