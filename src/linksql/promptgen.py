@@ -13,7 +13,9 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .catalog import DatabaseCatalog, ForeignKey, TableDef
@@ -38,6 +40,11 @@ _SYSTEM_PREAMBLES = {
 }
 
 
+# A template is split at its placeholders once, so neither value is
+# searched for the other placeholder.
+_PLACEHOLDER = re.compile(r"(\{schema\}|\{question\})")
+
+
 def _load_default(name: str) -> str:
     return resources.files("linksql.templates").joinpath(name).read_text("utf-8")
 
@@ -60,6 +67,20 @@ class PromptTemplateSet:
             for ph in ("{schema}", "{question}"):
                 if ph not in tpl:
                     raise ValueError(f"{label} template is missing the {ph} placeholder")
+
+    @cached_property
+    def pieces(self) -> dict[str, tuple[str, ...]]:
+        """Each stage's template split at its placeholders: literal text at
+        even positions, ``{schema}`` or ``{question}`` at odd ones. No
+        literal piece spells a placeholder."""
+        return {
+            stage: tuple(
+                _PLACEHOLDER.split(
+                    self.linking_template if stage == "link" else self.generation_template
+                )
+            )
+            for stage in STAGES
+        }
 
     @classmethod
     def load(
@@ -190,9 +211,21 @@ def serialize_link_target(target: LinkTarget, catalog: DatabaseCatalog) -> str:
 # -- prompt assembly -------------------------------------------------------
 
 
-# Both placeholders are filled in one pass, so neither value is searched
-# for the other placeholder.
-_PLACEHOLDER = re.compile(r"\{schema\}|\{question\}")
+def _stage_schema(
+    stage: str, catalog: DatabaseCatalog, selected_tables: frozenset | set | None
+) -> str:
+    """The schema text a stage's prompt shows: every table, or for gen the
+    nonempty selection, all of whose tables the catalog must know."""
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    if stage != "gen":
+        return render_schema(catalog)
+    if not selected_tables:
+        raise ValueError("stage=gen requires a nonempty table selection")
+    unknown = {t for t in selected_tables if not catalog.has_table(t)}
+    if unknown:
+        raise ValueError(f"selected tables not in catalog: {sorted(unknown)}")
+    return render_schema(catalog, selected_tables)
 
 
 def prompt_parts(
@@ -205,24 +238,40 @@ def prompt_parts(
     """(system preamble, instantiated template body) for one request."""
     if templates is None:
         templates = PromptTemplateSet.load()
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
-    if stage == "gen":
-        if not selected_tables:
-            raise ValueError("stage=gen requires a nonempty table selection")
-        unknown = {t for t in selected_tables if not catalog.has_table(t)}
-        if unknown:
-            raise ValueError(f"selected tables not in catalog: {sorted(unknown)}")
-        schema = render_schema(catalog, selected_tables)
-    else:
-        schema = render_schema(catalog)
-    tpl = templates.linking_template if stage == "link" else templates.generation_template
-    values = {"{schema}": schema, "{question}": question}
-    body = _PLACEHOLDER.sub(lambda m: values[m.group()], tpl)
+    values = {"{schema}": _stage_schema(stage, catalog, selected_tables), "{question}": question}
+    body = "".join(values.get(piece, piece) for piece in templates.pieces[stage])
     return _SYSTEM_PREAMBLES[stage], body
 
 
 # -- dataset emission ------------------------------------------------------
+
+
+def _escape(text: str) -> str:
+    """``text`` JSON-escaped as ``json.dumps(..., ensure_ascii=False)``
+    writes it inside a string, without the quotes."""
+    return encode_basestring(text)[1:-1]
+
+
+def _record_runs(
+    stage: str, db_id: str, schema: str, templates: PromptTemplateSet
+) -> tuple[list[str], str]:
+    """The JSON text of a record line that no question changes.
+
+    Returns (runs, tail): the question, escaped, goes between consecutive
+    runs; the first run follows the example id and the last one ends where
+    the completion starts; ``tail`` follows the completion.
+    """
+    runs: list[str] = []
+    text = [f', "stage": "{stage}", "prompt": "', _escape(f"{_SYSTEM_PREAMBLES[stage]}\n\n")]
+    for piece in templates.pieces[stage]:
+        if piece == "{question}":
+            runs.append("".join(text))
+            text = []
+        else:
+            text.append(_escape(schema if piece == "{schema}" else piece))
+    text.append('", "completion": ')
+    runs.append("".join(text))
+    return runs, f', "db_id": {encode_basestring(db_id)}}}\n'
 
 
 def emit_sft_dataset(
@@ -234,10 +283,17 @@ def emit_sft_dataset(
     """Write one JSONL record per example; return the manifest.
 
     Examples need example_id / question / gold_sql / catalog / db_id
-    attributes, as ``ingest.Example`` has them. Gold SQL outside the
-    supported dialect quarantines the example (id listed in the manifest,
-    nothing written) and never aborts the run. The manifest {count,
-    quarantined, sha256} is also written next to ``out``.
+    attributes, as ``ingest.Example`` has them, with string values. Gold
+    SQL outside the supported dialect quarantines the example (id listed
+    in the manifest, nothing written) and never aborts the run. The
+    manifest {count, quarantined, sha256} is also written next to ``out``.
+
+    Each line is ``json.dumps(record, ensure_ascii=False)`` of the record
+    ``{example_id, stage, prompt, completion, db_id}`` whose prompt is
+    ``prompt_parts`` joined by a blank line. JSON escapes one character
+    at a time, so the parts that only the database and table selection
+    fix are escaped once per selection, and each record escapes only its
+    id, question and completion.
     """
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
@@ -247,6 +303,8 @@ def emit_sft_dataset(
     quarantined: list[str] = []
     digest = hashlib.sha256()
     count = 0
+    # (db_id, selection) -> (catalog, runs, tail) of the catalog seen last
+    constant: dict = {}
     with out.open("wb") as fh:
         for ex in examples:
             catalog = ex.catalog
@@ -258,18 +316,19 @@ def emit_sft_dataset(
                 continue
             target = None if stage == "full" else extract_link_targets(ast)
             selected = target.tables if stage == "gen" else None
-            system, body = prompt_parts(stage, ex.question, catalog, selected, templates)
+            key = (ex.db_id, selected)
+            entry = constant.get(key)
+            if entry is None or entry[0] is not catalog:
+                schema = _stage_schema(stage, catalog, selected)
+                entry = constant[key] = (catalog, *_record_runs(stage, ex.db_id, schema, templates))
+            _, runs, tail = entry
             completion = (
                 serialize_link_target(target, catalog) if stage == "link" else ex.gold_sql
             )
-            record = {
-                "example_id": ex.example_id,
-                "stage": stage,
-                "prompt": f"{system}\n\n{body}",
-                "completion": completion,
-                "db_id": ex.db_id,
-            }
-            data = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+            data = (
+                f'{{"example_id": {encode_basestring(ex.example_id)}'
+                f"{_escape(ex.question).join(runs)}{encode_basestring(completion)}{tail}"
+            ).encode("utf-8")
             fh.write(data)
             digest.update(data)
             count += 1

@@ -82,13 +82,41 @@ class Agg:
     arg: object  # Star | ColumnRef | Arith | Literal
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Arith:
-    """A binary arithmetic expression."""
+    """A binary arithmetic expression.
+
+    The parser builds a chain such as ``1+1+…+1`` down its left operand, so
+    equality and hashing walk that spine in a loop: the generated methods
+    would recurse once per node and overflow the stack on a long sum.
+    """
 
     op: str
     left: object
     right: object
+
+    def __eq__(self, other):
+        if other.__class__ is not Arith:
+            return NotImplemented
+        a, b = self, other
+        while a.__class__ is Arith and b.__class__ is Arith:
+            if a is b:
+                return True
+            if a.op != b.op or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
+    def __hash__(self):
+        spine = []
+        node = self
+        while node.__class__ is Arith:
+            spine.append(node)
+            node = node.left
+        h = hash(node)
+        for node in reversed(spine):
+            h = hash((node.op, h, node.right))
+        return h
 
 
 # An expression position holds one of: Star, ColumnRef, Literal, Agg, Arith.

@@ -432,6 +432,22 @@ def test_deep_nesting_is_a_parse_error(cat, position):
     assert info.value.pos == 0
 
 
+def test_long_sum_hashes_and_compares(cat):
+    # The parser chains a flat sum down the left operand; a comparison or
+    # hash that recursed once per term would overflow the stack here.
+    terms = ["1"] * 950
+    sql = "SELECT " + "+".join(terms) + " FROM Venue"
+    a, b = parse_sql(sql, cat), parse_sql(sql, cat)
+    assert a is not b and hash(a) == hash(b) and a == b
+    for i in (0, 474, 948):
+        ops = ["+"] * 949
+        ops[i] = "-"
+        flipped = parse_sql(
+            "SELECT " + "".join(t + op for t, op in zip(terms, ops)) + "1 FROM Venue", cat
+        )
+        assert a != flipped and not a == flipped
+
+
 def test_parse_is_linear_in_on_nested_subqueries(cat):
     # Each level nests the last in an ON condition. Parsing an ON condition
     # twice, once for syntax and once for names, would double the work per

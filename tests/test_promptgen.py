@@ -8,6 +8,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksql import promptgen
 from linksql.catalog import attach_samples
@@ -389,19 +391,23 @@ def test_emit_gen_prompt_tables_match_extraction(split100, catalogs, tmp_path):
         assert got == want
 
 
-def test_emit_quarantines_unsupported_gold(split100, catalogs, tmp_path, caplog):
-    class Stub:
-        def __init__(self, example_id, question, gold_sql, db_id):
-            self.example_id = example_id
-            self.question = question
-            self.gold_sql = gold_sql
-            self.db_id = db_id
-            self.catalog = catalogs[db_id]
+class _Record:
+    """An example as ``emit_sft_dataset`` reads it."""
 
+    def __init__(self, example_id, question, gold_sql, catalog):
+        self.example_id = example_id
+        self.question = question
+        self.gold_sql = gold_sql
+        self.catalog = catalog
+        self.db_id = catalog.db_id
+
+
+def test_emit_quarantines_unsupported_gold(split100, catalogs, tmp_path, caplog):
+    cat = catalogs["venue_events"]
     examples = [
-        Stub("s:0", "ok", "SELECT Name FROM Venue", "venue_events"),
-        Stub("s:1", "bad dialect", "SELECT Name FROM Venue WHERE Notes IS NULL", "venue_events"),
-        Stub("s:2", "also ok", "SELECT count(*) FROM Artist", "venue_events"),
+        _Record("s:0", "ok", "SELECT Name FROM Venue", cat),
+        _Record("s:1", "bad dialect", "SELECT Name FROM Venue WHERE Notes IS NULL", cat),
+        _Record("s:2", "also ok", "SELECT count(*) FROM Artist", cat),
     ]
     for stage in STAGES:  # quarantine applies uniformly, link stage included
         out = tmp_path / f"{stage}.jsonl"
@@ -418,3 +424,109 @@ def test_emit_rerun_byte_identical(split100, tmp_path):
     mb = emit_sft_dataset(split100.examples, "gen", b)
     assert a.read_bytes() == b.read_bytes()
     assert ma["sha256"] == mb["sha256"]
+
+
+# -- byte identity of the emitted lines ------------------------------------
+
+# Text JSON has to escape, or that is stored beyond one UTF-8 byte: quotes,
+# backslashes, every control character, U+2028, and non-ASCII and astral
+# characters.
+_AWKWARD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\u2028\u2029é{}\U0001f600'),
+        st.characters(max_codepoint=0x1F),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+
+# golds over two table selections, each with one string literal to fill
+_GOLDS = (
+    "SELECT Name FROM Venue WHERE Name = '{}'",
+    "SELECT Title FROM Event JOIN Venue ON Event.Venue_ID = Venue.Venue_ID WHERE City = '{}'",
+)
+
+
+@pytest.fixture(scope="module")
+def awkward_catalog(catalogs):
+    """venue_events with sample rows whose cells hold quotes, backslashes
+    and tabs, so the schema text itself needs escaping."""
+    cat = catalogs["venue_events"]
+    return dataclasses.replace(
+        cat,
+        tables=tuple(
+            dataclasses.replace(
+                t,
+                sample_rows=tuple(
+                    tuple(f'{c.name} "{i}"\\\t{{question}}' for c in t.columns) for i in range(2)
+                ),
+            )
+            for t in cat.tables
+        ),
+    )
+
+
+_TEMPLATE_SETS = {
+    "default": None,
+    "override": PromptTemplateSet(
+        generation_template='{question}\t"g"\\{schema}{question}|{question}',
+        linking_template='{question} "l"\n{schema}{question}\n{question}',
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("which", list(_TEMPLATE_SETS))
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            _AWKWARD_TEXT, _AWKWARD_TEXT, _AWKWARD_TEXT, st.sampled_from(_GOLDS), st.booleans()
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_emitted_line_is_json_dumps_of_the_record(
+    stage, which, rows, catalogs, awkward_catalog, tmp_path_factory
+):
+    templates = _TEMPLATE_SETS[which]
+    # one db_id, two catalog objects: a record never reuses the other's schema
+    examples = [
+        _Record(
+            example_id,
+            question,
+            gold.format(value.replace("'", "''")),
+            awkward_catalog if awkward else catalogs["venue_events"],
+        )
+        for example_id, question, value, gold, awkward in rows
+    ]
+    out = tmp_path_factory.mktemp("awkward") / f"{stage}.jsonl"
+    manifest = emit_sft_dataset(examples, stage, out, templates)
+    want = []
+    for ex in examples:
+        cat = ex.catalog
+        target = extract_link_targets(parse_sql(ex.gold_sql, cat))
+        selected = target.tables if stage == "gen" else None
+        system, body = prompt_parts(stage, ex.question, cat, selected, templates)
+        record = {
+            "example_id": ex.example_id,
+            "stage": stage,
+            "prompt": f"{system}\n\n{body}",
+            "completion": serialize_link_target(target, cat) if stage == "link" else ex.gold_sql,
+            "db_id": cat.db_id,
+        }
+        want.append((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
+    data = out.read_bytes()
+    # split at b"\n" only: str.splitlines would also split at U+2028
+    assert [line + b"\n" for line in data.split(b"\n")[:-1]] == want
+    assert manifest["count"] == len(want)
+    assert manifest["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_lone_surrogate_question_is_not_written(catalogs, tmp_path):
+    cat = catalogs["venue_events"]
+    examples = [_Record("s:0", "half a pair \ud800?", "SELECT Name FROM Venue", cat)]
+    for stage in STAGES:
+        with pytest.raises(UnicodeEncodeError):
+            emit_sft_dataset(examples, stage, tmp_path / f"{stage}.jsonl")
