@@ -136,7 +136,7 @@ def _cmd_eval(args) -> int:
     catalogs = {c.db_id: c for c in load_catalogs(args.tables)}
     split = load_split(args.examples, catalogs, args.db_root)
     traces = read_traces(args.traces, split)
-    report = evalx.evaluate_split(
+    report, verdicts = evalx.evaluate_split(
         traces[0]["mode"],
         split,
         {t["example_id"]: t["extracted_sql"] for t in traces},
@@ -149,7 +149,7 @@ def _cmd_eval(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    evalx.write_verdicts(out_dir / "verdicts.jsonl", report.verdicts)
+    evalx.write_verdicts(out_dir / "verdicts.jsonl", verdicts)
     (out_dir / "report.json").write_text(
         json.dumps(evalx.report_dict(report), indent=2) + "\n", encoding="utf-8"
     )

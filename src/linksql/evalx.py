@@ -28,7 +28,7 @@ import sqlite3
 import time
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -67,8 +67,9 @@ class SqlVerdict:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """One scored run. Its fields, in this order, are the keys of
-    ``report.json``; ``linking`` is left out when links were not scored."""
+    """One scored run's aggregates; its verdicts go to ``verdicts.jsonl``
+    alone. Its fields, in this order, are the keys of ``report.json``;
+    ``linking`` is left out when links were not scored."""
 
     mode: str
     model: str | None
@@ -78,7 +79,6 @@ class EvalReport:
     quarantined: tuple[str, ...]  # gold outside the supported dialect
     invalid_gold: tuple[str, ...]  # gold failed to execute
     skipped_no_database: tuple[str, ...]
-    verdicts: tuple[SqlVerdict, ...]
     linking: LinkingSummary | None = None
 
 
@@ -344,8 +344,9 @@ def evaluate_split(
     ignore_values: bool = False,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     model_name: str | None = None,
-) -> EvalReport:
-    """Score the predicted SQL of every example in ``split``.
+) -> tuple[EvalReport, tuple[SqlVerdict, ...]]:
+    """Score the predicted SQL of every example in ``split``: the run's
+    report, and the verdict of each example that counts, in split order.
 
     ``predictions`` and ``predicted_links`` are keyed by example id; link
     scores are computed only when ``predicted_links`` is given. Each gold
@@ -397,7 +398,7 @@ def evaluate_split(
     if not verdicts:
         raise ValueError("no evaluable examples (all quarantined, skipped, or invalid)")
     n = len(verdicts)
-    return EvalReport(
+    report = EvalReport(
         mode=mode,
         model=model_name,
         n=n,
@@ -406,9 +407,9 @@ def evaluate_split(
         quarantined=tuple(quarantined),
         invalid_gold=tuple(invalid_gold),
         skipped_no_database=tuple(skipped),
-        verdicts=tuple(verdicts),
         linking=aggregate_linking(linking_scores) if linking_scores else None,
     )
+    return report, tuple(verdicts)
 
 
 # -- reporting -------------------------------------------------------------
@@ -422,10 +423,10 @@ def write_verdicts(path: str | Path, verdicts) -> None:
 
 
 def report_dict(report: EvalReport) -> dict:
-    """The object ``report.json`` holds: the report's fields, each verdict's
-    and the linking summary's, in declaration order; ``linking`` only when
-    scored. Nested dicts are the records' own ``vars``: do not mutate them."""
-    out = {**vars(report), "verdicts": [vars(v) for v in report.verdicts]}
+    """The object ``report.json`` holds: the report's fields and the linking
+    summary's, in declaration order; ``linking`` only when scored. The
+    nested dict is the summary's own ``vars``: do not mutate it."""
+    out = dict(vars(report))
     if report.linking is None:
         del out["linking"]
     else:
@@ -442,16 +443,15 @@ def read_report(path: str | Path) -> EvalReport:
     """The report in a ``report.json`` that eval wrote.
 
     Raises ValueError, naming the file, on text that is not JSON and on a
-    missing or unknown key in the report, a verdict or the linking summary.
+    missing or unknown key in the report or the linking summary. A
+    ``verdicts`` key is unknown: ``verdicts.jsonl`` alone holds the verdicts.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        report = _record(EvalReport, json.loads(text))
-        return replace(
-            report,
-            verdicts=tuple(_record(SqlVerdict, v) for v in report.verdicts),
-            linking=None if report.linking is None else _record(LinkingSummary, report.linking),
-        )
+        fields = json.loads(text)
+        if fields.get("linking") is not None:
+            fields["linking"] = _record(LinkingSummary, fields["linking"])
+        return _record(EvalReport, fields)
     except (ValueError, TypeError, AttributeError) as err:
         raise ValueError(f"{path}: not a report eval wrote: {err}") from None
 

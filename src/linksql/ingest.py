@@ -27,7 +27,6 @@ class Example:
 
 @dataclass(frozen=True)
 class Split:
-    name: str
     examples: tuple[Example, ...]
 
 
@@ -43,8 +42,7 @@ def load_split(
 ) -> Split:
     """Read a JSON array of {question, query, db_id} records, in order.
 
-    The split is named after the file's stem, and each example's id is
-    ``<stem>:<record index>``.
+    Each example's id is ``<file stem>:<record index>``.
 
     Each record must be an object whose three fields are strings; extra
     fields are ignored. Any record naming a db_id without a loaded catalog
@@ -56,7 +54,7 @@ def load_split(
     execution-ineligible and without samples.
     """
     examples_file = Path(examples_file)
-    split_name = examples_file.stem
+    stem = examples_file.stem
     with examples_file.open("r", encoding="utf-8") as fh:
         records = json.load(fh)
     if not isinstance(records, list):
@@ -87,8 +85,8 @@ def load_split(
             bound[db_id] = catalog, db_file
         catalog, db_file = bound[db_id]
         examples.append(
-            Example(f"{split_name}:{i}", rec["question"], rec["query"], catalog, db_file)
+            Example(f"{stem}:{i}", rec["question"], rec["query"], catalog, db_file)
         )
     if unknown:
         raise ValueError(f"{examples_file}: db_ids without catalogs: {', '.join(sorted(unknown))}")
-    return Split(name=split_name, examples=tuple(examples))
+    return Split(tuple(examples))

@@ -87,8 +87,8 @@ class Arith:
     """A binary arithmetic expression.
 
     The parser builds a chain such as ``1+1+…+1`` down its left operand, so
-    equality and hashing walk that spine in a loop: the generated methods
-    would recurse once per node and overflow the stack on a long sum.
+    equality, hashing and repr walk that spine in a loop: the generated
+    methods would recurse once per node and overflow the stack on a long sum.
     """
 
     op: str
@@ -117,6 +117,17 @@ class Arith:
         for node in reversed(spine):
             h = hash((node.op, h, node.right))
         return h
+
+    def __repr__(self):
+        # the dataclass repr, with the left spine's parts joined in one pass
+        spine = []
+        node = self
+        while node.__class__ is Arith:
+            spine.append(node)
+            node = node.left
+        heads = [f"Arith(op={n.op!r}, left=" for n in spine]
+        tails = [f", right={n.right!r})" for n in reversed(spine)]
+        return "".join(heads) + repr(node) + "".join(tails)
 
 
 # An expression position holds one of: Star, ColumnRef, Literal, Agg, Arith.

@@ -155,7 +155,7 @@ def test_criterion_4_oracle_link_upper_bound(
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline("oracle_link", split100, config=_config(ep))
     predictions = {trace.example_id: trace.extracted_sql for trace in traces}
-    report = evaluate_split("oracle_link", split100, predictions)
+    report, _ = evaluate_split("oracle_link", split100, predictions)
     ok = report.n == 100 and report.ex_accuracy == 1.0 and report.em_accuracy == 1.0
     _verdict(
         capsys,

@@ -24,8 +24,7 @@ def test_load_happy_path(catalogs, fixture_paths, tmp_path):
         {"question": "books?", "query": "SELECT Title FROM Book", "db_id": "library", "extra": 1},
     ]
     split = load_split(_write(tmp_path, records), catalogs, fixture_paths["db_root_a"])
-    assert split.name == "split"  # the file's stem
-    assert [e.example_id for e in split.examples] == ["split:0", "split:1"]
+    assert [e.example_id for e in split.examples] == ["split:0", "split:1"]  # the file's stem
     assert split.examples[0].question == "how many venues?"
     assert split.examples[0].gold_sql == "SELECT count(*) FROM Venue"
     assert split.examples[1].db_id == "library"

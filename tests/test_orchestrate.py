@@ -370,8 +370,7 @@ def test_dts_prompts_do_not_depend_on_worker_count(split100, catalogs, oracle_an
     for workers in (1, 4):
         fresh = {db_id: dataclasses.replace(cat) for db_id, cat in catalogs.items()}
         split = Split(
-            split100.name,
-            tuple(dataclasses.replace(ex, catalog=fresh[ex.db_id]) for ex in split100.examples),
+            tuple(dataclasses.replace(ex, catalog=fresh[ex.db_id]) for ex in split100.examples)
         )
         with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
             traces = run_pipeline(
@@ -384,7 +383,7 @@ def test_dts_prompts_do_not_depend_on_worker_count(split100, catalogs, oracle_an
 
 
 def test_dts_garbage_linker_falls_back_to_full_schema(split100, catalogs, oracle_answers):
-    split = type(split100)(split100.name, split100.examples[:6])
+    split = Split(split100.examples[:6])
 
     def script(payload, idx):
         if mockserver.is_linking_prompt(payload):
@@ -410,7 +409,7 @@ def test_dts_garbage_linker_falls_back_to_full_schema(split100, catalogs, oracle
 def test_oracle_link_unusable_gold_falls_back_to_full_schema(split100, catalogs, gold):
     ex = next(e for e in split100.examples if e.db_id == "venue_events")
     ex = dataclasses.replace(ex, gold_sql=gold)
-    split = type(split100)(split100.name, (ex,))
+    split = Split((ex,))
     cat = catalogs[ex.db_id]
     with MockEndpoint(mockserver.constant("SELECT 1")) as ep:
         (trace,) = run_pipeline(
@@ -434,7 +433,7 @@ def _expected_target(mode, trace, ex, cat):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_trace_link_fields_match_serialized_target(split100, catalogs, oracle_answers, mode):
-    split = type(split100)(split100.name, split100.examples[:12])
+    split = Split(split100.examples[:12])
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(mode, split, config=cfg(ep), sleep=_no_sleep)
     for trace, ex in zip(traces, split.examples):
@@ -452,7 +451,7 @@ def test_trace_link_fields_match_serialized_target(split100, catalogs, oracle_an
 def test_trace_link_target_reads_back_written_dts_trace(
     split100, catalogs, oracle_answers, tmp_path
 ):
-    split = type(split100)(split100.name, split100.examples[:12])
+    split = Split(split100.examples[:12])
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(
             "dts",
@@ -469,7 +468,7 @@ def test_trace_link_target_reads_back_written_dts_trace(
 
 
 def test_pipeline_isolates_endpoint_failures(split100, oracle_answers):
-    split = type(split100)(split100.name, split100.examples[:10])
+    split = Split(split100.examples[:10])
     failing = {split.examples[3].question, split.examples[7].question}
     script = mockserver.fail_questions(mockserver.scripted_oracle(oracle_answers), failing)
     with MockEndpoint(script) as ep:
@@ -488,7 +487,7 @@ def test_pipeline_isolates_endpoint_failures(split100, oracle_answers):
 
 def test_pipeline_retries_null_content_then_records_it(split100, oracle_answers):
     # servers send "content": null for a tool call
-    split = type(split100)(split100.name, split100.examples[:6])
+    split = Split(split100.examples[:6])
     nulled = split.examples[2].question
     oracle = mockserver.scripted_oracle(oracle_answers)
 
@@ -525,7 +524,7 @@ def test_pipeline_preserves_split_order(split100, oracle_answers):
 
 
 def test_pipeline_keeps_one_connection_per_worker(split100, oracle_answers):
-    split = type(split100)(split100.name, split100.examples[:24])
+    split = Split(split100.examples[:24])
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         with no_unclosed_sockets():
             traces = run_pipeline(
@@ -543,7 +542,7 @@ def test_pipeline_resends_when_the_server_drops_kept_alive_connections(
     def no_sleep_expected(seconds):
         raise AssertionError(f"slept {seconds} s")
 
-    split = type(split100)(split100.name, split100.examples[:20])
+    split = Split(split100.examples[:20])
     script = mockserver.scripted_oracle(oracle_answers)
     with MockEndpoint(script, close_after_response=True) as ep:
         traces = run_pipeline(
@@ -564,7 +563,7 @@ def test_invalid_mode_rejected(split100):
 
 
 def test_trace_io_roundtrip(split100, oracle_answers, tmp_path):
-    split = type(split100)(split100.name, split100.examples[:4])
+    split = Split(split100.examples[:4])
     fixed = iter(range(1000))
     with MockEndpoint(mockserver.scripted_oracle(oracle_answers)) as ep:
         traces = run_pipeline(
@@ -600,14 +599,14 @@ def test_write_traces_standalone(catalogs, tmp_path):
         wall_ms={"total_ms": 1.0},
     )
     write_traces(tmp_path / "t.jsonl", [trace])
-    split = Split("x", (Example("x:0", "q", "SELECT 1", catalogs["venue_events"], None),))
+    split = Split((Example("x:0", "q", "SELECT 1", catalogs["venue_events"], None),))
     assert read_traces(tmp_path / "t.jsonl", split)[0]["example_id"] == "x:0"
 
 
 def test_read_traces_returns_rows_in_split_order(catalogs, tmp_path):
     cat = catalogs["venue_events"]
     examples = tuple(Example(f"x:{i}", "q", "SELECT 1", cat, None) for i in range(3))
-    split = Split("x", examples)
+    split = Split(examples)
     path = tmp_path / "t.jsonl"
     path.write_text(
         "".join(

@@ -448,6 +448,23 @@ def test_long_sum_hashes_and_compares(cat):
         assert a != flipped and not a == flipped
 
 
+def test_long_sum_reprs(cat):
+    # A repr that recursed once per term would overflow the stack here, and
+    # so would every log line or assertion message that prints the AST.
+    one = "Literal(kind='num', text='1')"
+    ast = parse_sql("SELECT " + "+".join(["1"] * 950) + " FROM Venue", cat)
+    chain = "Arith(op='+', left=" * 949 + one + f", right={one})" * 949
+    assert chain in repr(ast)
+    with pytest.raises(AssertionError, match=r"^unexpected QueryAst\(.*select_items=\(Arith\("):
+        assert ast is None, f"unexpected {ast}"
+    # a short chain reads as the generated dataclass repr would spell it
+    assert repr(parse_sql("SELECT 1-2*3+4 FROM Venue", cat).select_items[0]) == (
+        "Arith(op='+', left=Arith(op='-', left=Literal(kind='num', text='1'), "
+        "right=Arith(op='*', left=Literal(kind='num', text='2'), "
+        "right=Literal(kind='num', text='3'))), right=Literal(kind='num', text='4'))"
+    )
+
+
 def test_parse_is_linear_in_on_nested_subqueries(cat):
     # Each level nests the last in an ON condition. Parsing an ON condition
     # twice, once for syntax and once for names, would double the work per
