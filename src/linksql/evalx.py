@@ -43,11 +43,14 @@ FAILURE_KINDS = (
     "pred_parse_error",
     "pred_exec_error",
     "timeout",
+    "result_too_large",
     "result_mismatch",
     "component_mismatch",
 )
 
 DEFAULT_TIMEOUT_MS = 30000
+# Rows one query may return; the fetch stops one row past it.
+MAX_RESULT_ROWS = 100_000
 
 
 class GoldExecutionError(Exception):
@@ -110,6 +113,10 @@ class _Timeout(Exception):
     pass
 
 
+class _TooLarge(Exception):
+    pass
+
+
 def _cell_key(value):
     if isinstance(value, float):
         if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
@@ -167,7 +174,10 @@ class ConnectionSet:
         return conn
 
     def run(self, db_file: Path, sql: str, deadline: float) -> list[tuple]:
-        """Execute one query; rows come back as tuples of canonical cell keys."""
+        """Execute one query; rows come back as tuples of canonical cell keys.
+
+        Raises _TooLarge, having fetched one row past it, when the result
+        holds more than MAX_RESULT_ROWS rows."""
         conn = self._connection(db_file)
         self._deadline = deadline
         self._timed_out = False
@@ -175,7 +185,7 @@ class ConnectionSet:
         try:
             try:
                 cursor = conn.execute(sql)
-                rows = cursor.fetchall()
+                rows = cursor.fetchmany(MAX_RESULT_ROWS + 1)
             except sqlite3.Error:
                 if self._timed_out:
                     raise _Timeout()
@@ -185,6 +195,9 @@ class ConnectionSet:
             if cursor.description is None:
                 # empty or non-query statement; sqlite accepts it silently
                 raise sqlite3.OperationalError("statement produced no result set")
+            if len(rows) > MAX_RESULT_ROWS:
+                cursor.close()
+                raise _TooLarge()
             if float in map(type, chain.from_iterable(rows)):
                 return [tuple(map(_cell_key, row)) for row in rows]
             return rows
@@ -253,8 +266,10 @@ def ex_with_detail(
     ordered: bool,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> tuple[bool, str | None]:
-    """(matched, failure kind). Gold failures raise GoldExecutionError;
-    an unreadable database file is an infrastructure error (OSError).
+    """(matched, failure kind). Gold failures, a gold result of more than
+    MAX_RESULT_ROWS rows among them, raise GoldExecutionError; an
+    unreadable database file is an infrastructure error (OSError). A
+    prediction with more rows than that scores ``result_too_large``.
 
     Both queries run on ``connections``. ``ordered`` says whether the gold
     query fixes its row order, which then has to match as well. The
@@ -267,6 +282,8 @@ def ex_with_detail(
         gold_rows = connections.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
     except _Timeout as err:
         raise GoldExecutionError(f"gold query timed out: {gold!r}") from err
+    except _TooLarge as err:
+        raise GoldExecutionError(f"gold result exceeds {MAX_RESULT_ROWS} rows") from err
     except sqlite3.Error as err:
         raise GoldExecutionError(f"gold query failed: {err}") from err
     deadline = time.monotonic() + timeout_ms / 1000.0
@@ -275,6 +292,8 @@ def ex_with_detail(
         matched = _tables_equal(pred_rows, gold_rows, ordered, deadline)
     except _Timeout:
         return False, "timeout"
+    except _TooLarge:
+        return False, "result_too_large"
     except sqlite3.Error:
         return False, "pred_exec_error"
     return (True, None) if matched else (False, "result_mismatch")

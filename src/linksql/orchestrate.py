@@ -14,9 +14,10 @@ stages of an example cost one request each, so the fixed cost of a
 request is paid twice: ``run_pipeline`` therefore gives each of its
 ``max_parallel_requests`` worker threads one keep-alive
 ``EndpointConnection``, opened on the thread's first request and closed
-when the run ends. ``complete`` sends one chat request and retries
-transport errors, 5xx, 429 and malformed bodies with doubling backoff,
-waiting longer where a ``Retry-After`` asks for it.
+when the run ends. The connection holds its endpoint's config and
+builds every request header once; ``complete`` sends one chat request
+over it and retries transport errors, 5xx, 429 and malformed bodies with
+doubling backoff, waiting longer where a ``Retry-After`` asks for it.
 """
 
 from __future__ import annotations
@@ -104,19 +105,22 @@ class TwoStageTrace:
 
 
 class EndpointConnection:
-    """One keep-alive HTTP/1.1 connection to the endpoint of a config.
+    """One keep-alive HTTP/1.1 connection to the endpoint of ``config``.
 
     The socket opens on the first request and reopens after the server
-    closes it. Proxy settings (``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY``)
-    are read once, here: an http target is then requested in absolute form
-    from the proxy, an https target through a CONNECT tunnel, and
-    credentials in the proxy URL become a ``Proxy-Authorization`` header.
+    closes it. The environment is read once, here: ``LINKSQL_API_KEY``
+    becomes a bearer ``Authorization`` header, and under the proxy
+    settings (``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY``) an http target
+    is requested in absolute form from the proxy, an https target through
+    a CONNECT tunnel, and credentials in the proxy URL become a
+    ``Proxy-Authorization`` header.
     TLS is verified against the system trust store. Every socket operation
     times out after ``request_timeout_ms``. Not safe to share between
     threads.
     """
 
     def __init__(self, config: EndpointConfig):
+        self.config = config
         url = urlsplit(config.base_url.rstrip("/") + "/chat/completions")
         host, port = url.hostname, url.port
         timeout = config.request_timeout_ms / 1000.0
@@ -150,25 +154,27 @@ class EndpointConnection:
             if proxy is not None:
                 self._target = url.geturl()
                 self._headers.update(proxy_headers)
+        api_key = os.environ.get(API_KEY_ENV)
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
 
-    def post(self, body: bytes, headers: dict) -> tuple[int, http.client.HTTPMessage, bytes]:
+    def post(self, body: bytes) -> tuple[int, http.client.HTTPMessage, bytes]:
         """Status, headers and body of one POST to the endpoint.
 
         The server may have closed a kept-alive socket while it sat idle,
         so a request that fails on a reused socket before any response
         arrives is sent once more, at once, on a fresh socket.
         """
-        headers = {**self._headers, **headers}
         reused = self._conn.sock is not None
         try:
             try:
-                self._conn.request("POST", self._target, body, headers)
+                self._conn.request("POST", self._target, body, self._headers)
                 response = self._conn.getresponse()
             except ConnectionError:
                 if not reused:
                     raise
                 self._conn.close()
-                self._conn.request("POST", self._target, body, headers)
+                self._conn.request("POST", self._target, body, self._headers)
                 response = self._conn.getresponse()
             return response.status, response.headers, response.read()
         except BaseException:
@@ -187,23 +193,22 @@ def _retry_after(value: str | None) -> float:
 
 
 def complete(
-    config: EndpointConfig,
+    connection: EndpointConnection,
     prompt: str,
     system: str | None = None,
     sleep=time.sleep,
-    connection: EndpointConnection | None = None,
 ) -> str:
-    """One chat completion with retries on transient failures.
+    """One chat completion over ``connection``, with retries on transient
+    failures; the model, sampling settings and retry budget are those of
+    ``connection.config``, and the connection stays open.
 
     Transient: transport errors, HTTP 5xx, 429, malformed response body
     (one whose message content is not a string included).
     A 429 or 503 waits at least its ``Retry-After`` seconds before the
     next attempt. Other statuses outside 2xx fail immediately; redirects
     are not followed. Exhausting the budget raises EndpointError.
-
-    The request goes over ``connection`` when given, which stays open for
-    the next call; otherwise over a connection opened and closed here.
     """
+    config = connection.config
     messages = []
     if system is not None:
         messages.append({"role": "system", "content": system})
@@ -216,46 +221,37 @@ def complete(
             "max_tokens": config.max_output_tokens,
         }
     ).encode("utf-8")
-    headers = {}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    conn = EndpointConnection(config) if connection is None else connection
-    try:
-        last_error = "no attempt made"
+    last_error = "no attempt made"
+    wait = 0.0
+    for attempt in range(config.max_retries + 1):
+        if attempt:
+            sleep(max(config.backoff_seconds * (2 ** (attempt - 1)), wait))
         wait = 0.0
-        for attempt in range(config.max_retries + 1):
-            if attempt:
-                sleep(max(config.backoff_seconds * (2 ** (attempt - 1)), wait))
-            wait = 0.0
-            try:
-                status, resp_headers, data = conn.post(body, headers)
-            except (OSError, http.client.HTTPException) as err:
-                last_error = f"transport error: {type(err).__name__}: {err}"
-                log.debug("attempt %d failed: %s", attempt + 1, last_error)
-                continue
-            if status >= 500 or status == 429:
-                last_error = f"HTTP {status}"
-                if status in (429, 503):
-                    wait = _retry_after(resp_headers.get("Retry-After"))
-                log.debug("attempt %d failed: %s", attempt + 1, last_error)
-                continue
-            if not 200 <= status < 300:
-                text = data.decode("utf-8", "replace")
-                raise EndpointError(f"HTTP {status}: {text[:200]}")
-            try:
-                content = json.loads(data)["choices"][0]["message"]["content"]
-                if not isinstance(content, str):
-                    raise TypeError(f"content is {type(content).__name__}, not str")
-                return content
-            except (ValueError, KeyError, IndexError, TypeError) as err:
-                last_error = f"malformed response body: {err}"
-                log.debug("attempt %d failed: %s", attempt + 1, last_error)
-                continue
-        raise EndpointError(f"retries exhausted: {last_error}")
-    finally:
-        if connection is None:
-            conn.close()
+        try:
+            status, resp_headers, data = connection.post(body)
+        except (OSError, http.client.HTTPException) as err:
+            last_error = f"transport error: {type(err).__name__}: {err}"
+            log.debug("attempt %d failed: %s", attempt + 1, last_error)
+            continue
+        if status >= 500 or status == 429:
+            last_error = f"HTTP {status}"
+            if status in (429, 503):
+                wait = _retry_after(resp_headers.get("Retry-After"))
+            log.debug("attempt %d failed: %s", attempt + 1, last_error)
+            continue
+        if not 200 <= status < 300:
+            text = data.decode("utf-8", "replace")
+            raise EndpointError(f"HTTP {status}: {text[:200]}")
+        try:
+            content = json.loads(data)["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not str")
+            return content
+        except (ValueError, KeyError, IndexError, TypeError) as err:
+            last_error = f"malformed response body: {err}"
+            log.debug("attempt %d failed: %s", attempt + 1, last_error)
+            continue
+    raise EndpointError(f"retries exhausted: {last_error}")
 
 
 _FENCE = re.compile(r"```(?:[A-Za-z0-9_-]+)?\s*\n?(.*?)```", re.DOTALL)
@@ -304,7 +300,7 @@ def run_pipeline(
             if conn is None:
                 conn = local.conn = EndpointConnection(config)
                 connections.append(conn)
-            return complete(config, body, system, sleep=sleep, connection=conn), None
+            return complete(conn, body, system, sleep=sleep), None
         except EndpointError as err:
             return "", str(err)
 

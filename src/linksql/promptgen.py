@@ -106,16 +106,15 @@ class PromptTemplateSet:
 
 
 def render_table(
-    table: TableDef,
-    fks: tuple[ForeignKey, ...] = (),
-    catalog: DatabaseCatalog | None = None,
+    table: TableDef, fks: tuple[ForeignKey, ...], catalog: DatabaseCatalog
 ) -> str:
-    """One table as a CREATE-TABLE-style block.
+    """One table of ``catalog`` as a CREATE-TABLE-style block.
 
-    Column and table names keep their original casing; the catalog, when
-    given, supplies original casing for foreign-key targets. Only foreign
-    keys leaving this table are rendered. The trailing comment block holds
-    the attached sample rows and stays empty when none were attached.
+    Column and table names keep their original casing; the catalog
+    supplies original casing for foreign-key targets. Only foreign keys
+    in ``fks`` that leave this table are rendered. The trailing comment
+    block holds the attached sample rows and stays empty when none were
+    attached.
     Output is identical regardless of which stage consumes it.
     """
     by_normal = {c.normal_name: c for c in table.columns}
@@ -133,7 +132,7 @@ def render_table(
         from_name = by_normal[fk.from_column].name if fk.from_column in by_normal else fk.from_column
         to_table = fk.to_table
         to_column = fk.to_column
-        if catalog is not None and catalog.has_table(fk.to_table):
+        if catalog.has_table(fk.to_table):
             target = catalog.table(fk.to_table)
             to_table = target.name
             if target.has_column(fk.to_column):

@@ -37,9 +37,6 @@ class Token(NamedTuple):
     value: str
     pos: int
 
-    def is_kw(self, *words: str) -> bool:
-        return self.kind == "KW" and self.value in words
-
 
 # One match per token, in the order the alternatives are tried: a word, a
 # number, a quoted string, a backquoted name, an operator, any other

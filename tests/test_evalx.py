@@ -19,6 +19,7 @@ from mockserver import MockEndpoint
 from linksql.evalx import (
     DEFAULT_TIMEOUT_MS,
     FAILURE_KINDS,
+    MAX_RESULT_ROWS,
     ConnectionSet,
     EvalReport,
     GoldExecutionError,
@@ -486,6 +487,36 @@ def test_reopened_connection_keeps_the_deadline(fixture_paths, conns):
     assert ex_with_detail(query, query, library, conns, ordered=False) == (True, None)
 
 
+# 10 authors x 30 books x 12 members x 50 loans = 180,000 rows
+CROSS_JOIN = "SELECT * FROM Author, Book, Member, Loan"
+
+
+def test_prediction_over_the_row_cap_scores_result_too_large(fixture_paths, conns):
+    library = db_file_for(fixture_paths["db_root_a"], "library")
+    deadline = time.monotonic() + 30
+    count = CROSS_JOIN.replace("*", "count(*)", 1)
+    assert conns.run(library, count, deadline) == [(180_000,)]
+    assert 180_000 > MAX_RESULT_ROWS
+    gold = "SELECT Title FROM Book"
+    assert ex_with_detail(CROSS_JOIN, gold, library, conns, ordered=False) == (
+        False,
+        "result_too_large",
+    )
+    # the fetch takes one row past the cap, and the cursor may step one
+    # row ahead of its fetch: SQLite computes no other row
+    made = itertools.count()
+    conns._connection(library).create_function("tick", 0, lambda: next(made))
+    ticking = CROSS_JOIN.replace("*", "tick(), *", 1)
+    assert ex_with_detail(ticking, gold, library, conns, ordered=False) == (
+        False,
+        "result_too_large",
+    )
+    assert MAX_RESULT_ROWS + 1 <= next(made) <= MAX_RESULT_ROWS + 2
+    # the connection is left ready for the next query
+    assert library in conns._open
+    assert ex_with_detail(gold, gold, library, conns, ordered=False) == (True, None)
+
+
 def test_ex_readonly_cannot_mutate(scratch_db, conns):
     matched, kind = ex_with_detail("DELETE FROM t", "SELECT 1", scratch_db, conns, ordered=False)
     assert not matched and kind == "pred_exec_error"
@@ -687,7 +718,7 @@ def _token_scan_order(sql: str) -> bool:
             depth += 1
         elif tok.kind == "OP" and tok.value == ")":
             depth -= 1
-        elif depth == 0 and tok.is_kw("order"):
+        elif depth == 0 and tok.kind == "KW" and tok.value == "order":
             return True
     return False
 
@@ -849,6 +880,17 @@ def test_evaluate_split_cannot_mutate(venue_split, venue_db):
     assert verdicts[0].failure_kind == "pred_exec_error"
     assert _outcome(verdicts[1]) == ("t:1", True, True, None)
     assert count() == before
+
+
+def test_gold_over_the_row_cap_is_invalid_gold(catalogs, fixture_paths):
+    titles = "SELECT Title FROM Book"
+    rows = [("library", CROSS_JOIN), ("library", titles)]
+    split = _split(catalogs, fixture_paths["db_root_a"], rows)
+    predictions = {"t:0": CROSS_JOIN, "t:1": titles}
+    report, verdicts = evaluate_split("full", split, predictions)
+    assert report.invalid_gold == ("t:0",)
+    assert report.n == 1
+    assert [_outcome(v) for v in verdicts] == [("t:1", True, True, None)]
 
 
 def test_three_jobs_quarantine_the_same_gold(venue_split, tmp_path):

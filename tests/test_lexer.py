@@ -73,13 +73,6 @@ def test_tokenize_edge_cases(text, expected):
         assert [(t.kind, t.value, t.pos) for t in tokenize(text)] == expected
 
 
-def test_is_kw_matches_keywords_only():
-    kw, ident, end = tokenize("order `order`")
-    assert kw.is_kw("asc", "order")
-    assert not ident.is_kw("order")
-    assert not end.is_kw("order")
-
-
 # -- equivalence with the six-group lexer ----------------------------------
 
 # The lexer before ``scan`` told token kinds apart by the regex alone: one

@@ -49,12 +49,23 @@ def _no_sleep(_seconds):
     pass
 
 
+@contextlib.contextmanager
+def connected(config):
+    """An EndpointConnection for ``config``, closed on the way out."""
+    conn = EndpointConnection(config)
+    try:
+        yield conn
+    finally:
+        conn.close()
+
+
 # -- transport -------------------------------------------------------------
 
 
 def test_complete_success_and_payload_shape():
     with MockEndpoint(mockserver.constant("SELECT 1")) as ep:
-        out = complete(cfg(ep), "a prompt", system="be terse", sleep=_no_sleep)
+        with connected(cfg(ep)) as conn:
+            out = complete(conn, "a prompt", system="be terse", sleep=_no_sleep)
         assert out == "SELECT 1"
         req = ep.requests[0]
         assert req["path"].endswith("/chat/completions")
@@ -68,54 +79,76 @@ def test_complete_success_and_payload_shape():
 
 def test_complete_no_system_message():
     with MockEndpoint(mockserver.constant("ok")) as ep:
-        complete(cfg(ep), "p", sleep=_no_sleep)
+        with connected(cfg(ep)) as conn:
+            complete(conn, "p", sleep=_no_sleep)
         assert [m["role"] for m in ep.requests[0]["payload"]["messages"]] == ["user"]
 
 
 def test_bearer_token_from_env(monkeypatch):
     monkeypatch.setenv("LINKSQL_API_KEY", "sk-test-123")
     with MockEndpoint(mockserver.constant("ok")) as ep:
-        complete(cfg(ep), "p", sleep=_no_sleep)
+        with connected(cfg(ep)) as conn:
+            complete(conn, "p", sleep=_no_sleep)
         assert ep.requests[0]["headers"].get("Authorization") == "Bearer sk-test-123"
+
+
+def test_bearer_token_is_read_once_when_the_connection_opens(monkeypatch):
+    monkeypatch.setenv("LINKSQL_API_KEY", "sk-first")
+    with MockEndpoint(mockserver.constant("ok")) as ep:
+        with connected(cfg(ep)) as conn:
+            complete(conn, "p", sleep=_no_sleep)
+            monkeypatch.setenv("LINKSQL_API_KEY", "sk-second")
+            complete(conn, "p", sleep=_no_sleep)
+            monkeypatch.delenv("LINKSQL_API_KEY")
+            complete(conn, "p", sleep=_no_sleep)
+        assert [r["headers"].get("Authorization") for r in ep.requests] == [
+            "Bearer sk-first"
+        ] * 3
 
 
 def test_no_auth_header_without_env(monkeypatch):
     monkeypatch.delenv("LINKSQL_API_KEY", raising=False)
     with MockEndpoint(mockserver.constant("ok")) as ep:
-        complete(cfg(ep), "p", sleep=_no_sleep)
+        with connected(cfg(ep)) as conn:
+            complete(conn, "p", sleep=_no_sleep)
         assert "Authorization" not in ep.requests[0]["headers"]
 
 
 def test_retry_on_500_then_success():
     with MockEndpoint(mockserver.fail_first(1, text="recovered")) as ep:
-        assert complete(cfg(ep), "p", sleep=_no_sleep) == "recovered"
+        with connected(cfg(ep)) as conn:
+            assert complete(conn, "p", sleep=_no_sleep) == "recovered"
         assert len(ep.requests) == 2
 
 
 def test_retry_on_429():
     with MockEndpoint(mockserver.fail_first(1, text="ok", status=429)) as ep:
-        assert complete(cfg(ep), "p", sleep=_no_sleep) == "ok"
+        with connected(cfg(ep)) as conn:
+            assert complete(conn, "p", sleep=_no_sleep) == "ok"
         assert len(ep.requests) == 2
 
 
 def test_retry_exhaustion_raises():
     with MockEndpoint(mockserver.always_status(500, "down")) as ep:
         with pytest.raises(EndpointError):
-            complete(cfg(ep, max_retries=2), "p", sleep=_no_sleep)
+            with connected(cfg(ep, max_retries=2)) as conn:
+                complete(conn, "p", sleep=_no_sleep)
         assert len(ep.requests) == 3  # initial try + 2 retries
 
 
 def test_client_error_fails_fast():
     with MockEndpoint(mockserver.always_status(404, "missing")) as ep:
         with pytest.raises(EndpointError):
-            complete(cfg(ep, max_retries=3), "p", sleep=_no_sleep)
+            with connected(cfg(ep, max_retries=3)) as conn:
+                complete(conn, "p", sleep=_no_sleep)
         assert len(ep.requests) == 1
 
 
 def test_malformed_body_retried_then_fails():
     with MockEndpoint(mockserver.malformed_body()) as ep:
         with pytest.raises(EndpointError):
-            complete(cfg(ep, max_retries=1), "p", sleep=_no_sleep)
+            with connected(cfg(ep, max_retries=1)) as conn:
+                complete(conn, "p", sleep=_no_sleep)
         assert len(ep.requests) == 2
 
 
@@ -123,7 +156,8 @@ def test_backoff_doubles():
     waits = []
     with MockEndpoint(mockserver.always_status(500)) as ep:
         with pytest.raises(EndpointError):
-            complete(cfg(ep, max_retries=3, backoff_seconds=0.5), "p", sleep=waits.append)
+            with connected(cfg(ep, max_retries=3, backoff_seconds=0.5)) as conn:
+                complete(conn, "p", sleep=waits.append)
     assert waits == [0.5, 1.0, 2.0]
 
 
@@ -172,7 +206,8 @@ def test_retry_after_waits_at_least_the_header(status, retry_after, waits):
 
     seen = []
     with MockEndpoint(script) as ep:
-        assert complete(cfg(ep, backoff_seconds=0.5), "p", sleep=seen.append) == "ok"
+        with connected(cfg(ep, backoff_seconds=0.5)) as conn:
+            assert complete(conn, "p", sleep=seen.append) == "ok"
     assert seen == waits
 
 
@@ -182,33 +217,29 @@ def test_redirect_fails_at_once():
 
     with MockEndpoint(script) as ep:
         with pytest.raises(EndpointError, match="^HTTP 302"):
-            complete(cfg(ep, max_retries=3), "p", sleep=_no_sleep)
+            with connected(cfg(ep, max_retries=3)) as conn:
+                complete(conn, "p", sleep=_no_sleep)
         assert len(ep.requests) == 1
 
 
 def test_timeout_is_a_retried_transport_error():
     waits = []
     with MockEndpoint(mockserver.slow(1.0)) as ep:
+        config = cfg(ep, request_timeout_ms=100, max_retries=1, backoff_seconds=0.5)
         with pytest.raises(EndpointError, match="transport error"):
-            complete(
-                cfg(ep, request_timeout_ms=100, max_retries=1, backoff_seconds=0.5),
-                "p",
-                sleep=waits.append,
-            )
+            with connected(config) as conn:
+                complete(conn, "p", sleep=waits.append)
         assert len(ep.requests) == 2
     assert waits == [0.5]
 
 
 def test_handed_connection_is_reused_and_left_open():
     with MockEndpoint(mockserver.constant("ok")) as ep:
-        conn = EndpointConnection(cfg(ep))
-        try:
+        with connected(cfg(ep)) as conn:
             for _ in range(3):
-                assert complete(cfg(ep), "p", sleep=_no_sleep, connection=conn) == "ok"
+                assert complete(conn, "p", sleep=_no_sleep) == "ok"
             assert ep.connections == 1
             assert ep.open_connections == 1
-        finally:
-            conn.close()
         assert ep.wait_closed()
 
 
@@ -220,15 +251,6 @@ def no_unclosed_sockets():
         yield
         gc.collect()
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
-
-
-def test_complete_alone_closes_its_connection():
-    with MockEndpoint(mockserver.constant("ok")) as ep:
-        with no_unclosed_sockets():
-            complete(cfg(ep), "p", sleep=_no_sleep)
-            complete(cfg(ep), "p", sleep=_no_sleep)
-        assert ep.connections == 2
-        assert ep.wait_closed()
 
 
 # -- proxies ---------------------------------------------------------------
@@ -247,7 +269,8 @@ def test_http_proxy_gets_absolute_form_target(no_proxy_env):
         no_proxy_env.setenv("HTTP_PROXY", proxy.base_url.replace("//", "//us%40r:p%3Ass@"))
         # nothing listens on the target: only the proxy can answer
         config = EndpointConfig(base_url="http://127.0.0.2:9/v1", model_name="m")
-        assert complete(config, "p", sleep=_no_sleep) == "ok"
+        with connected(config) as conn:
+            assert complete(conn, "p", sleep=_no_sleep) == "ok"
         (req,) = proxy.requests
     assert req["path"] == "http://127.0.0.2:9/v1/chat/completions"
     assert req["headers"]["Host"] == "127.0.0.2:9"
@@ -261,7 +284,8 @@ def test_no_proxy_bypasses_the_proxy(no_proxy_env):
     ) as ep:
         no_proxy_env.setenv("HTTP_PROXY", proxy.base_url)
         no_proxy_env.setenv("NO_PROXY", "example.org,127.0.0.1")
-        assert complete(cfg(ep), "p", sleep=_no_sleep) == "direct"
+        with connected(cfg(ep)) as conn:
+            assert complete(conn, "p", sleep=_no_sleep) == "direct"
         assert proxy.requests == []
         assert ep.requests[0]["path"] == "/chat/completions"
 
@@ -273,7 +297,8 @@ def test_https_target_goes_through_a_connect_tunnel(no_proxy_env):
             base_url="https://127.0.0.2/v1", model_name="m", max_retries=0
         )
         with pytest.raises(EndpointError, match="transport error"):
-            complete(config, "p", sleep=_no_sleep)
+            with connected(config) as conn:
+                complete(conn, "p", sleep=_no_sleep)
         (req,) = proxy.requests
     assert req["method"] == "CONNECT"
     assert req["path"] == "127.0.0.2:443"

@@ -56,7 +56,8 @@ def test_render_table_only_own_foreign_keys(catalogs):
 
 
 def test_render_table_sample_comment(catalogs_sampled):
-    block = render_table(catalogs_sampled["venue_events"].table("event"))
+    cat = catalogs_sampled["venue_events"]
+    block = render_table(cat.table("event"), cat.foreign_keys, cat)
     assert "/*" in block and block.rstrip().endswith("*/")
     assert "Sample rows from Event:" in block
     header = block.split("Sample rows from Event:\n")[1].splitlines()[0]
@@ -64,7 +65,8 @@ def test_render_table_sample_comment(catalogs_sampled):
 
 
 def test_render_table_no_samples_empty_comment(catalogs):
-    block = render_table(catalogs["venue_events"].table("event"))
+    cat = catalogs["venue_events"]
+    block = render_table(cat.table("event"), cat.foreign_keys, cat)
     assert block.rstrip().endswith("/*\nSample rows from Event:\n*/")
     assert "Event_ID\t" not in block  # no header line without rows
 
