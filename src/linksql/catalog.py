@@ -137,9 +137,9 @@ def load_catalogs(tables_metadata_file: str | Path) -> list[DatabaseCatalog]:
     pseudo-column at index 0 is dropped; column-index references are
     resolved to names.
 
-    Raises CatalogError on malformed JSON (with file offset), on any
-    out-of-range index and on a table without columns (naming the
-    offending db_id).
+    Raises CatalogError on malformed JSON (with file offset), on a column
+    entry or foreign key of another shape, on any out-of-range index and
+    on a table without columns (naming the offending db_id).
     """
     path = Path(tables_metadata_file)
     try:
@@ -153,6 +153,10 @@ def load_catalogs(tables_metadata_file: str | Path) -> list[DatabaseCatalog]:
     for entry in raw:
         catalogs.append(_build_catalog(entry, path))
     return catalogs
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2
 
 
 def _build_catalog(entry: dict, path: Path) -> DatabaseCatalog:
@@ -179,6 +183,8 @@ def _build_catalog(entry: dict, path: Path) -> DatabaseCatalog:
     per_table: list[list[ColumnDef]] = [[] for _ in table_names]
     col_site: dict[int, tuple[int, ColumnDef]] = {}
     for idx, pair in enumerate(column_names):
+        if not (_is_pair(pair) and type(pair[0]) is int and isinstance(pair[1], str)):
+            raise schema_error(f"column entry {idx} is not a [table index, name] pair: {pair!r}")
         t_idx, col_name = pair
         if t_idx == -1:
             continue
@@ -218,6 +224,8 @@ def _build_catalog(entry: dict, path: Path) -> DatabaseCatalog:
 
     fks = []
     for pair in foreign_keys:
+        if not (_is_pair(pair) and all(type(i) is int for i in pair)):
+            raise schema_error(f"foreign key is not a pair of column indexes: {pair!r}")
         from_idx, to_idx = pair
         ft, fc = locate(from_idx, "foreign key")
         tt, tc = locate(to_idx, "foreign key")

@@ -302,6 +302,47 @@ def ex_with_detail(
 # -- combined per-example verdict -----------------------------------------
 
 
+def _match_half(
+    pred: str, gold: str, gold_ast: QueryAst, catalog: DatabaseCatalog, ignore_values: bool
+) -> tuple[bool, str | None, float]:
+    """evaluate_pair's exact-match half, no SQLite: (matched, failure kind,
+    match_ms)."""
+    t0 = time.monotonic()
+    if pred == gold:
+        matched, kind = True, None
+    else:
+        matched, kind = em_with_detail(pred, gold_ast, catalog, ignore_values)
+    return matched, kind, round((time.monotonic() - t0) * 1000.0, 3)
+
+
+def _execution_half(
+    example_id: str,
+    match: tuple[bool, str | None, float],
+    pred: str,
+    gold: str,
+    db_file: str | Path,
+    connections: ConnectionSet,
+    ordered: bool,
+    timeout_ms: int,
+) -> SqlVerdict:
+    """evaluate_pair's execution half: the verdict, given what its
+    exact-match half returned. Raises GoldExecutionError as
+    ex_with_detail does."""
+    t0 = time.monotonic()
+    ex, ex_kind = ex_with_detail(
+        pred, gold, db_file, connections, ordered=ordered, timeout_ms=timeout_ms
+    )
+    execution_ms = round((time.monotonic() - t0) * 1000.0, 3)
+    em, em_kind, match_ms = match
+    return SqlVerdict(
+        example_id=example_id,
+        exact_match=em,
+        execution_match=ex,
+        failure_kind=ex_kind or em_kind,  # each is None exactly on its match
+        timings={"match_ms": match_ms, "execution_ms": execution_ms},
+    )
+
+
 def evaluate_pair(
     example_id: str,
     pred: str,
@@ -326,32 +367,12 @@ def evaluate_pair(
     that calls ``random()`` gets the verdict its two runs earn. Result
     tables that are already equal match without a search over column
     permutations; a search that does run counts against the prediction's
-    deadline. Queries run on ``connections``."""
-    t0 = time.monotonic()
-    if pred == gold:
-        em, em_kind = True, None
-    else:
-        em, em_kind = em_with_detail(pred, gold_ast, catalog, ignore_values)
-    t1 = time.monotonic()
-    ex, ex_kind = ex_with_detail(
-        pred,
-        gold,
-        db_file,
-        connections,
-        ordered=gold_ast.has_toplevel_order(),
-        timeout_ms=timeout_ms,
-    )
-    t2 = time.monotonic()
-    return SqlVerdict(
-        example_id=example_id,
-        exact_match=em,
-        execution_match=ex,
-        failure_kind=ex_kind or em_kind,  # each is None exactly on its match
-        timings={
-            "match_ms": round((t1 - t0) * 1000.0, 3),
-            "execution_ms": round((t2 - t1) * 1000.0, 3),
-        },
-    )
+    deadline. Queries run on ``connections``. The exact match and the
+    execution are the two halves that evaluate_split runs in its two
+    passes; ``match_ms`` and ``execution_ms`` time one half each."""
+    match = _match_half(pred, gold, gold_ast, catalog, ignore_values)
+    ordered = gold_ast.has_toplevel_order()
+    return _execution_half(example_id, match, pred, gold, db_file, connections, ordered, timeout_ms)
 
 
 def evaluate_split(
@@ -368,51 +389,65 @@ def evaluate_split(
     report, and the verdict of each example that counts, in split order.
 
     ``predictions`` and ``predicted_links`` are keyed by example id; link
-    scores are computed only when ``predicted_links`` is given. Each gold
-    query is parsed once, for the exact match, the result ordering and the
-    link target, and queries run on one read-only connection per database
-    file. Gold outside the dialect is quarantined, gold that fails to
-    execute is invalid, and examples without a database file are skipped;
-    none of them count. Raises ValueError when ``timeout_ms`` is not
-    positive and when no example is left.
+    scores are computed only when ``predicted_links`` is given. Gold
+    outside the dialect is quarantined, gold that fails to execute is
+    invalid, and examples without a database file are skipped; none of
+    them count. Raises ValueError when ``timeout_ms`` is not positive and
+    when no example is left.
+
+    Scoring takes two passes over the split, each in split order, with
+    the verdicts each example would get from evaluate_pair. The first
+    runs no SQLite: it parses each gold query once, for the exact match,
+    the result ordering and the link target, and keeps only the exact
+    match, the ordering flag and the link score, not the parse. The
+    second executes gold and prediction on one read-only connection per
+    database file and drops the link score of gold that fails to execute.
     """
     if timeout_ms <= 0:
         raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
+    quarantined = []
+    skipped = []
+    matched = []  # (example, prediction, match half, ordered, link score)
+    for ex in split.examples:
+        try:
+            gold_ast = parse_sql(ex.gold_sql, ex.catalog)
+        except SqlError:
+            quarantined.append(ex.example_id)
+            continue
+        if ex.db_file is None:
+            skipped.append(ex.example_id)
+            continue
+        pred = predictions[ex.example_id]
+        match = _match_half(pred, ex.gold_sql, gold_ast, ex.catalog, ignore_values)
+        link_score = (
+            None
+            if predicted_links is None
+            else score_linking(predicted_links[ex.example_id], extract_link_targets(gold_ast))
+        )
+        matched.append((ex, pred, match, gold_ast.has_toplevel_order(), link_score))
+
     verdicts = []
     linking_scores = []
-    quarantined = []
     invalid_gold = []
-    skipped = []
     with ConnectionSet() as connections:
-        for ex in split.examples:
+        for ex, pred, match, ordered, link_score in matched:
             try:
-                gold_ast = parse_sql(ex.gold_sql, ex.catalog)
-            except SqlError:
-                quarantined.append(ex.example_id)
-                continue
-            if ex.db_file is None:
-                skipped.append(ex.example_id)
-                continue
-            try:
-                verdict = evaluate_pair(
+                verdict = _execution_half(
                     ex.example_id,
-                    predictions[ex.example_id],
+                    match,
+                    pred,
                     ex.gold_sql,
-                    gold_ast,
-                    ex.catalog,
                     ex.db_file,
                     connections,
-                    ignore_values=ignore_values,
-                    timeout_ms=timeout_ms,
+                    ordered,
+                    timeout_ms,
                 )
             except GoldExecutionError:
                 invalid_gold.append(ex.example_id)
                 continue
             verdicts.append(verdict)
-            if predicted_links is not None:
-                linking_scores.append(
-                    score_linking(predicted_links[ex.example_id], extract_link_targets(gold_ast))
-                )
+            if link_score is not None:
+                linking_scores.append(link_score)
 
     if not verdicts:
         raise ValueError("no evaluable examples (all quarantined, skipped, or invalid)")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -110,6 +111,31 @@ def test_foreign_key_out_of_range_column_index(tmp_path):
     bad = tmp_path / "tables.json"
     bad.write_text(json.dumps([entry]), encoding="utf-8")
     with pytest.raises(CatalogError, match=r"db 'dangling_fk': foreign key .* index 9"):
+        load_catalogs(bad)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("column_names_original", [[-1, "*"], 5], r"column entry 1 is not .*: 5$"),
+        ("column_names_original", [[-1, "*"], ["0", "a"]], r"column entry 1 is not .*'0', 'a'"),
+        ("foreign_keys", [[1]], r"foreign key is not a pair of column indexes: \[1\]"),
+    ],
+    ids=["column-not-a-pair", "column-table-index-text", "foreign-key-one-index"],
+)
+def test_malformed_entry_rejected(tmp_path, field, value, message):
+    entry = {
+        "db_id": "d",
+        "table_names_original": ["T"],
+        "column_names_original": [[-1, "*"], [0, "A"]],
+        "column_types": ["text", "text"],
+        "primary_keys": [],
+        "foreign_keys": [],
+        field: value,
+    }
+    bad = tmp_path / "tables.json"
+    bad.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(CatalogError, match=rf"^{re.escape(str(bad))}: db 'd': {message}"):
         load_catalogs(bad)
 
 

@@ -39,7 +39,7 @@ from linksql.ingest import Example, Split, db_file_for
 from linksql.linker import LinkingSummary
 from linksql.orchestrate import EndpointConfig, run_pipeline
 from linksql.promptgen import emit_sft_dataset
-from linksql.sqlast import parse_sql, tokenize
+from linksql.sqlast import LinkTarget, extract_link_targets, parse_sql, tokenize
 
 
 @pytest.fixture
@@ -891,6 +891,60 @@ def test_gold_over_the_row_cap_is_invalid_gold(catalogs, fixture_paths):
     assert report.invalid_gold == ("t:0",)
     assert report.n == 1
     assert [_outcome(v) for v in verdicts] == [("t:1", True, True, None)]
+
+
+def test_two_passes_keep_split_order_and_drop_invalid_gold_links(catalogs, fixture_paths):
+    rows = [
+        ("library", "SELECT Title FROM Book"),
+        ("library", "SELECT Title FROM Book WHERE Title IS NOT NULL"),  # quarantined
+        ("library", "SELECT count(*) FROM Book"),  # its database file is missing
+        ("library", CROSS_JOIN),  # gold over the row cap
+        ("venue_events", "SELECT Name FROM Venue"),
+        ("venue_events", "SELECT count(*) FROM Venue"),
+    ]
+    split = _split(catalogs, fixture_paths["db_root_a"], rows)
+    examples = list(split.examples)
+    examples[2] = dataclasses.replace(examples[2], db_file=None)
+    split = Split(tuple(examples))
+    predictions = {
+        "t:0": "SELECT Title FROM Book",
+        "t:1": "SELECT Title FROM Book",
+        "t:2": "SELECT count(*) FROM Book",
+        "t:3": CROSS_JOIN,
+        "t:4": "SELECT City FROM Venue",
+        "t:5": "SELECT count(*) FROM Venues",
+    }
+    # every scored example links perfectly; the over-cap gold links nothing
+    predicted_links = {
+        ex.example_id: extract_link_targets(parse_sql(ex.gold_sql, ex.catalog))
+        for ex in split.examples
+        if ex.example_id not in ("t:1", "t:3")
+    }
+    predicted_links["t:1"] = predicted_links["t:3"] = LinkTarget()
+
+    report, verdicts = evaluate_split("dts", split, predictions, predicted_links=predicted_links)
+    assert [v.example_id for v in verdicts] == ["t:0", "t:4", "t:5"]
+    assert report.quarantined == ("t:1",)
+    assert report.skipped_no_database == ("t:2",)
+    assert report.invalid_gold == ("t:3",)
+    assert report.linking.n == report.n == 3
+    assert report.linking.exact_match_rate == 1.0
+    assert [v.failure_kind for v in verdicts] == [None, "result_mismatch", "pred_exec_error"]
+    by_id = {ex.example_id: ex for ex in split.examples}
+    for v in verdicts:
+        ex = by_id[v.example_id]
+        with ConnectionSet() as conns:
+            alone = evaluate_pair(
+                ex.example_id,
+                predictions[ex.example_id],
+                ex.gold_sql,
+                parse_sql(ex.gold_sql, ex.catalog),
+                ex.catalog,
+                ex.db_file,
+                conns,
+            )
+        assert dataclasses.replace(v, timings={}) == dataclasses.replace(alone, timings={})
+        assert set(v.timings) == {"match_ms", "execution_ms"}
 
 
 def test_three_jobs_quarantine_the_same_gold(venue_split, tmp_path):
