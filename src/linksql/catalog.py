@@ -137,9 +137,10 @@ def load_catalogs(tables_metadata_file: str | Path) -> list[DatabaseCatalog]:
     pseudo-column at index 0 is dropped; column-index references are
     resolved to names.
 
-    Raises CatalogError on malformed JSON (with file offset), on a column
-    entry or foreign key of another shape, on any out-of-range index and
-    on a table without columns (naming the offending db_id).
+    Raises CatalogError on malformed JSON (with file offset), on a
+    database entry, field, column entry, primary key or foreign key of
+    another shape, on any out-of-range index and on a table without
+    columns (naming the offending db_id).
     """
     path = Path(tables_metadata_file)
     try:
@@ -160,18 +161,32 @@ def _is_pair(value) -> bool:
 
 
 def _build_catalog(entry: dict, path: Path) -> DatabaseCatalog:
-    try:
-        db_id = entry["db_id"]
-        table_names = entry["table_names_original"]
-        column_names = entry["column_names_original"]
-        column_types = entry["column_types"]
-        primary_keys = entry.get("primary_keys", [])
-        foreign_keys = entry.get("foreign_keys", [])
-    except (KeyError, TypeError) as e:
-        raise CatalogError(f"{path}: database entry missing field {e}") from e
+    if not isinstance(entry, dict):
+        raise CatalogError(f"{path}: database entry is not a JSON object: {entry!r}")
 
     def schema_error(msg: str) -> CatalogError:
         return CatalogError(f"{path}: db {db_id!r}: {msg}")
+
+    def array(field: str, default: list | None = None) -> list:
+        value = entry[field] if default is None else entry.get(field, default)
+        if not isinstance(value, list):
+            raise schema_error(f"{field} is not a list: {value!r}")
+        return value
+
+    try:
+        db_id = entry["db_id"]
+        table_names = array("table_names_original")
+        column_names = array("column_names_original")
+        column_types = array("column_types")
+        primary_keys = array("primary_keys", [])
+        foreign_keys = array("foreign_keys", [])
+    except KeyError as e:
+        raise CatalogError(f"{path}: database entry missing field {e}") from e
+
+    if not isinstance(db_id, str):
+        raise CatalogError(f"{path}: db_id is not a string: {db_id!r}")
+    if not all(isinstance(name, str) for name in table_names):
+        raise schema_error(f"a table name is not a string: {table_names!r}")
 
     if len(column_names) != len(column_types):
         raise schema_error(
@@ -198,8 +213,8 @@ def _build_catalog(entry: dict, path: Path) -> DatabaseCatalog:
         col_site[idx] = (t_idx, cdef)
 
     def locate(col_idx: int, what: str) -> tuple[int, ColumnDef]:
-        if col_idx not in col_site:
-            raise schema_error(f"{what} references column index {col_idx}")
+        if type(col_idx) is not int or col_idx not in col_site:
+            raise schema_error(f"{what} references column index {col_idx!r}")
         return col_site[col_idx]
 
     pk_by_table: dict[int, set[str]] = {}

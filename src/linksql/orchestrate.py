@@ -26,6 +26,7 @@ import base64
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import ssl
@@ -74,8 +75,8 @@ class EndpointConfig:
         url.port  # raises ValueError on a malformed port
         if not self.model_name:
             raise ValueError("model_name is required")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
         if self.request_timeout_ms <= 0:
@@ -84,6 +85,8 @@ class EndpointConfig:
             raise ValueError("max_parallel_requests must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if not (math.isfinite(self.backoff_seconds) and self.backoff_seconds >= 0):
+            raise ValueError(f"backoff_seconds must be finite and >= 0, got {self.backoff_seconds}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """SQL parsing and analysis for the supported SELECT dialect."""
 
-from .analysis import clause_components, exact_set_match, extract_link_targets
+from .analysis import exact_set_match, extract_link_targets
 from .lexer import SqlError, SqlParseError, tokenize
 from .nodes import (
     AGGREGATES,
@@ -46,7 +46,6 @@ __all__ = [
     "SqlError",
     "SqlParseError",
     "Star",
-    "clause_components",
     "exact_set_match",
     "extract_link_targets",
     "parse_sql",

@@ -1,11 +1,10 @@
-"""AST consumers: link-target extraction and canonical clause
-decomposition for exact set match.
+"""AST consumers: link-target extraction and the canonical form that exact
+set match compares.
 """
 
 from __future__ import annotations
 
 from .nodes import (
-    DERIVED_PREFIX,
     Agg,
     Arith,
     BoolNode,
@@ -15,17 +14,6 @@ from .nodes import (
     Predicate,
     QueryAst,
     Star,
-)
-
-_CLAUSE_KEYS = (
-    "select",
-    "from",
-    "joins",
-    "where",
-    "group_by",
-    "having",
-    "order_by",
-    "limit",
 )
 
 
@@ -99,54 +87,33 @@ def _collect_expr(expr, tables: set, columns: set) -> None:
     # Star and Literal carry no column references.
 
 
-# -- canonical decomposition ----------------------------------------------
-
-
-def clause_components(ast: QueryAst, ignore_values: bool = False) -> dict:
-    """Order-insensitive canonical form of each clause, as a dict.
-
-    Two queries are an exact set match iff their component dicts are
-    equal. Commutative structure is order-free: select items, AND/OR
-    conjuncts, join pairs, derived tables and IN lists become a bag, a
-    tuple when a part has fewer than two items and otherwise a
-    ``frozenset`` of (item, count) pairs, so duplicates still count. FROM
-    tables (one per FROM entry, so a self join keeps both) and group keys
-    are sorted, and UNION/INTERSECT operands are put in a fixed order.
-    ORDER BY and EXCEPT stay ordered. With ignore_values, literals
-    compare as placeholders and IN value lists collapse, but LIMIT keeps
-    its value.
-    """
-    cq = _canon_query(ast, ignore_values)
-    if cq[0] == "compound":
-        _, op, operands = cq
-        core = operands[0]
-        set_entry: tuple | None = (op, operands)
-    else:
-        core = cq
-        set_entry = None
-    parts = dict(zip(_CLAUSE_KEYS, core[1:]))
-    parts["set_op"] = set_entry
-    return parts
+# -- canonical form ---------------------------------------------------------
 
 
 def exact_set_match(pred: QueryAst, gold: QueryAst, ignore_values: bool = False) -> bool:
-    return clause_components(pred, ignore_values) == clause_components(gold, ignore_values)
+    """Whether two queries are an exact set match: whether their canonical
+    forms are equal.
+
+    Commutative structure is order-free: select items, AND/OR conjuncts,
+    derived tables, IN lists and UNION/INTERSECT operands become a bag, a
+    tuple when a part has fewer than two items and otherwise a
+    ``frozenset`` of (item, count) pairs, so duplicates still count. Join
+    pairs, which cannot repeat, compare as the parser's set of them. FROM
+    tables (one per FROM entry, so a self join keeps both) and group keys
+    are sorted. ORDER BY and EXCEPT operands stay ordered. With
+    ignore_values, literals compare as placeholders and IN value lists
+    collapse, but LIMIT keeps its value.
+    """
+    return _canon_query(pred, ignore_values) == _canon_query(gold, ignore_values)
 
 
 def _canon_query(q: QueryAst, iv: bool) -> tuple:
     core = (
         "query",
         (q.select_distinct, _bag([_canon_expr(it, iv) for it in q.select_items])),
-        (
-            tuple(sorted([t for t in q.from_order if not t.startswith(DERIVED_PREFIX)])),
-            _bag([_canon_query(d.query, iv) for d in q.derived]),
-        ),
-        _bag(
-            [
-                (("col", p.left.table, p.left.column), ("col", p.right.table, p.right.column))
-                for p in q.join_conditions
-            ]
-        ),
+        # a derived table's name is its position (#sq0, ...), fixed by the bag
+        (tuple(sorted(q.from_order)), _bag([_canon_query(d.query, iv) for d in q.derived])),
+        q.join_conditions,  # a set of unordered pairs already
         _canon_tree(q.where_tree, iv),
         tuple(sorted(("col", r.table, r.column) for r in q.group_by)),
         _canon_tree(q.having_tree, iv),
@@ -156,26 +123,8 @@ def _canon_query(q: QueryAst, iv: bool) -> tuple:
     if q.set_op is None:
         return core
     op = q.set_op.op
-    rhs = _canon_query(q.set_op.rhs, iv)
-    operands = [core, rhs]
-    if op in ("union", "intersect"):
-        operands.sort(key=_order_key)
-    return ("compound", op, tuple(operands))
-
-
-def _order_key(part) -> str:
-    """The spelling of a canonical part, with each bag's items in sorted
-    order: equal parts spell alike, however their bags iterate."""
-    if isinstance(part, frozenset):
-        return "{" + ", ".join(sorted([_order_key(item) for item in part])) + "}"
-    if isinstance(part, tuple):
-        # A loop, so that each level of a deep expression takes one frame
-        # of the recursion limit, as it does in _canon_expr.
-        spelled = []
-        for item in part:
-            spelled.append(_order_key(item))
-        return "(" + ", ".join(spelled) + ")"
-    return repr(part)
+    operands = [core, _canon_query(q.set_op.rhs, iv)]
+    return ("compound", op, tuple(operands) if op == "except" else _bag(operands))
 
 
 def _bag(items: list) -> tuple | frozenset:
@@ -187,13 +136,6 @@ def _bag(items: list) -> tuple | frozenset:
     for item in items:  # for two or three items, faster than a Counter
         counts[item] = counts.get(item, 0) + 1
     return frozenset(counts.items())
-
-
-def _bag_items(bag: tuple | frozenset):
-    """Every item of a ``_bag``, each as often as it was put in."""
-    if isinstance(bag, tuple):
-        return bag
-    return [item for item, count in bag for _ in range(count)]
 
 
 def _canon_expr(expr, iv: bool) -> tuple:
@@ -214,15 +156,8 @@ def _canon_tree(tree, iv: bool):
     if tree is None:
         return None
     if isinstance(tree, BoolNode):
-        children = []
-        for child in tree.children:
-            c = _canon_tree(child, iv)
-            # Re-flatten: nested same-op nodes merge into one level.
-            if isinstance(c, tuple) and len(c) == 2 and c[0] == tree.op:
-                children.extend(_bag_items(c[1]))
-            else:
-                children.append(c)
-        return (tree.op, _bag(children))
+        # trees are flat, so the children are all the conjuncts
+        return (tree.op, _bag([_canon_tree(child, iv) for child in tree.children]))
     pred: Predicate = tree
     lhs = _canon_expr(pred.lhs, iv) if pred.lhs is not None else None
     rhs = pred.rhs

@@ -150,7 +150,8 @@ class Predicate:
 
 @dataclass(frozen=True, slots=True)
 class BoolNode:
-    """An AND/OR node; children are Predicates or nested BoolNodes."""
+    """An AND/OR node of two or more Predicates or BoolNodes. No child has
+    its parent's op: the parser merges ``(a AND b) AND c`` into one node."""
 
     op: str  # "and" | "or"
     children: tuple[object, ...]
@@ -195,8 +196,8 @@ class QueryAst:
 
     ``from_order`` lists FROM sources (table normal names and derived-table
     names) in written order; ``from_tables`` is the set view over the
-    catalog tables among them. ``group_by`` keeps written order, the
-    canonical component view treats it as a set.
+    catalog tables among them. ``group_by`` keeps written order; exact set
+    match treats it as a set.
     """
 
     select_distinct: bool

@@ -178,7 +178,8 @@ class _Parser:
             tree = self.parse_bool()
             if self.i != end:
                 raise self.error(f"unexpected {self.values[self.i]!r} after an ON condition")
-            for part in _and_parts(tree):
+            parts = tree.children if isinstance(tree, BoolNode) and tree.op == "and" else (tree,)
+            for part in parts:
                 pair = _as_join_pair(part)
                 if pair is not None:
                     join_pairs.add(pair)
@@ -195,8 +196,7 @@ class _Parser:
             self.i += 1
             where = self.parse_bool()
         if leftovers:
-            parts = leftovers + ([where] if where is not None else [])
-            where = parts[0] if len(parts) == 1 else BoolNode("and", tuple(parts))
+            where = _bool("and", leftovers + ([where] if where is not None else []))
         group: list[ColumnRef] = []
         if tags[self.i] == "group":
             self.i += 1
@@ -458,26 +458,18 @@ class _Parser:
     # -- conditions --------------------------------------------------------
 
     def parse_bool(self):
-        first = self.parse_and_chain()
-        tags = self.tags
-        if tags[self.i] != "or":
-            return first
-        children = [first]
-        while tags[self.i] == "or":
+        parts = [self.parse_and_chain()]
+        while self.tags[self.i] == "or":
             self.i += 1
-            children.append(self.parse_and_chain())
-        return BoolNode("or", tuple(children))
+            parts.append(self.parse_and_chain())
+        return _bool("or", parts)
 
     def parse_and_chain(self):
-        first = self.parse_cond_unit()
-        tags = self.tags
-        if tags[self.i] != "and":
-            return first
-        children = [first]
-        while tags[self.i] == "and":
+        parts = [self.parse_cond_unit()]
+        while self.tags[self.i] == "and":
             self.i += 1
-            children.append(self.parse_cond_unit())
-        return BoolNode("and", tuple(children))
+            parts.append(self.parse_cond_unit())
+        return _bool("and", parts)
 
     def parse_cond_unit(self):
         if self.tags[self.i] == "(" and self.tags[self.i + 1] != "select":
@@ -551,13 +543,18 @@ class _Parser:
         return value
 
 
-def _and_parts(tree) -> list:
-    if isinstance(tree, BoolNode) and tree.op == "and":
-        parts = []
-        for child in tree.children:
-            parts.extend(_and_parts(child))
-        return parts
-    return [tree]
+def _bool(op: str, parts: list):
+    """``parts`` joined by ``op``, a part that is an ``op`` node giving its
+    children: every node is built here, so one level of merging keeps trees flat."""
+    if len(parts) == 1:
+        return parts[0]
+    children: list = []
+    for part in parts:
+        if isinstance(part, BoolNode) and part.op == op:
+            children.extend(part.children)
+        else:
+            children.append(part)
+    return BoolNode(op, tuple(children))
 
 
 def _as_join_pair(part) -> JoinPair | None:

@@ -120,8 +120,24 @@ def test_foreign_key_out_of_range_column_index(tmp_path):
         ("column_names_original", [[-1, "*"], 5], r"column entry 1 is not .*: 5$"),
         ("column_names_original", [[-1, "*"], ["0", "a"]], r"column entry 1 is not .*'0', 'a'"),
         ("foreign_keys", [[1]], r"foreign key is not a pair of column indexes: \[1\]"),
+        ("column_names_original", 5, r"column_names_original is not a list: 5$"),
+        ("column_types", 3, r"column_types is not a list: 3$"),
+        ("table_names_original", 3, r"table_names_original is not a list: 3$"),
+        ("table_names_original", None, r"table_names_original is not a list: None$"),
+        ("foreign_keys", 7, r"foreign_keys is not a list: 7$"),
+        ("primary_keys", [{}], r"primary key references column index \{\}$"),
     ],
-    ids=["column-not-a-pair", "column-table-index-text", "foreign-key-one-index"],
+    ids=[
+        "column-not-a-pair",
+        "column-table-index-text",
+        "foreign-key-one-index",
+        "column-names-a-number",
+        "column-types-a-number",
+        "table-names-a-number",
+        "table-names-null",
+        "foreign-keys-a-number",
+        "primary-key-a-dict",
+    ],
 )
 def test_malformed_entry_rejected(tmp_path, field, value, message):
     entry = {
@@ -136,6 +152,29 @@ def test_malformed_entry_rejected(tmp_path, field, value, message):
     bad = tmp_path / "tables.json"
     bad.write_text(json.dumps([entry]), encoding="utf-8")
     with pytest.raises(CatalogError, match=rf"^{re.escape(str(bad))}: db 'd': {message}"):
+        load_catalogs(bad)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([1, 2], r"database entry is not a JSON object: \[1, 2\]$"),
+        (None, r"database entry is not a JSON object: None$"),
+        ({"db_id": ["d"]}, r"db_id is not a string: \['d'\]$"),
+    ],
+    ids=["list", "null", "db-id-a-list"],
+)
+def test_entry_of_another_shape_rejected(tmp_path, entry, message):
+    if isinstance(entry, dict):
+        entry = {
+            "table_names_original": ["T"],
+            "column_names_original": [[-1, "*"], [0, "A"]],
+            "column_types": ["text", "text"],
+            **entry,
+        }
+    bad = tmp_path / "tables.json"
+    bad.write_text(json.dumps([entry]), encoding="utf-8")
+    with pytest.raises(CatalogError, match=rf"^{re.escape(str(bad))}: {message}"):
         load_catalogs(bad)
 
 

@@ -14,6 +14,7 @@ import pytest
 import mockserver
 from mockserver import MockEndpoint
 
+from linksql.cli import main
 from linksql.ingest import Example, Split
 from linksql.linker import parse_linker_output
 from linksql.orchestrate import (
@@ -184,6 +185,43 @@ def test_config_rejects_unusable_base_url(base_url):
 )
 def test_config_accepts_http_and_https(base_url):
     assert EndpointConfig(base_url=base_url, model_name="m").base_url == base_url
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--temperature", "nan"),
+        ("--temperature", "inf"),
+        ("--backoff-seconds", "nan"),
+        ("--backoff-seconds", "inf"),
+        ("--backoff-seconds", "-1"),
+    ],
+)
+def test_infer_rejects_a_non_finite_temperature_or_backoff(
+    fixture_paths, tmp_path, capsys, flag, value
+):
+    # NaN is not valid JSON and time.sleep(nan) raises in a worker, so the
+    # run must stop before it pays for any request
+    examples = tmp_path / "dev.json"
+    example = {"question": "q", "query": "SELECT count(*) FROM Venue", "db_id": "venue_events"}
+    examples.write_text(json.dumps([example]), encoding="utf-8")
+    traces = tmp_path / "t.jsonl"
+    with MockEndpoint(mockserver.fail_first(1, status=503)) as ep:
+        rc = main(
+            ["infer",
+             "--tables", str(fixture_paths["tables"]),
+             "--examples", str(examples),
+             "--db-root", str(fixture_paths["db_root_a"]),
+             "--mode", "dts",
+             "--base-url", ep.base_url,
+             "--model", "m",
+             flag, value,
+             "--out", str(traces)]
+        )
+    assert rc == 2
+    assert f"{flag[2:].replace('-', '_')} must be finite and >= 0" in capsys.readouterr().err
+    assert ep.requests == []
+    assert not traces.exists()
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,28 @@ def test_and_chain_flattens(cat):
     ast = parse_sql("SELECT Name FROM Venue WHERE City = 'a' AND Capacity > 5 AND Outdoor = 1", cat)
     assert isinstance(ast.where_tree, BoolNode)
     assert len(ast.where_tree.children) == 3
+    # parenthesised conjuncts and an ON condition's leftovers join one AND node
+    left, right, joined = (
+        parse_sql(sql, cat)
+        for sql in (
+            "SELECT Title FROM Event WHERE (Event_ID > 1 AND Venue_ID > 2) AND Title = 'x'",
+            "SELECT Title FROM Event WHERE Event_ID > 1 AND (Venue_ID > 2 AND Title = 'x')",
+            "SELECT Title FROM Event JOIN Venue ON Event.Venue_ID = Venue.Venue_ID"
+            " AND Event.Event_ID > 1 WHERE Event.Venue_ID > 2 AND Title = 'x'",
+        )
+    )
+    assert left == right
+    assert joined.where_tree == left.where_tree
+    assert joined.join_conditions == {
+        JoinPair.of(ColumnRef("event", "venue_id"), ColumnRef("venue", "venue_id"))
+    }
+    tree = left.where_tree
+    assert isinstance(tree, BoolNode) and tree.op == "and"
+    assert [c.lhs for c in tree.children] == [
+        ColumnRef("event", "event_id"),
+        ColumnRef("event", "venue_id"),
+        ColumnRef("event", "title"),
+    ]
 
 
 def test_between_and_in(cat):
