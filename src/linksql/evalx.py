@@ -136,13 +136,21 @@ _READ_ACTIONS = frozenset(
 class ConnectionSet:
     """Read-only connections, one per database file, reused across queries.
 
-    A connection is closed after any query that did more than read, and
-    reopened on next use, so every query sees what a fresh connection would
-    show. Each connection gets its authorizer and progress handler once,
-    when it opens; the handler checks the deadline of whichever query
-    runs, so a reopened connection times out like the first. Opening a
-    connection to a file that is not there raises OSError. Not
-    thread-safe; close() releases everything.
+    Each connection opens one deferred read transaction, so every query on
+    it reads one snapshot: the database as it was when the connection first
+    read it. SQLite then locks the file and checks it for changes once per
+    connection, not once per query. A writer on another connection gets
+    ``SQLITE_BUSY`` until this one closes; in WAL mode it may write, and
+    this connection keeps reading its snapshot.
+
+    A connection is closed after any query that did more than read, or
+    that left it outside its transaction (a ``COMMIT``, say), and reopened,
+    in a new transaction, on next use; so every query sees what a fresh
+    connection would show. Each connection gets its authorizer and
+    progress handler once, when it opens; the handler checks the deadline
+    of whichever query runs, so a reopened connection times out like the
+    first. Opening a connection to a file that is not there raises
+    OSError. Not thread-safe; close() releases everything.
     """
 
     def __init__(self) -> None:
@@ -167,7 +175,8 @@ class ConnectionSet:
         if conn is None:
             if not db_file.is_file():
                 raise OSError(f"database file not readable: {db_file}")
-            conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
+            conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True, isolation_level=None)
+            conn.execute("BEGIN")
             conn.set_authorizer(self._authorize)
             conn.set_progress_handler(self._progress, 1000)
             self._open[db_file] = conn
@@ -202,7 +211,7 @@ class ConnectionSet:
                 return [tuple(map(_cell_key, row)) for row in rows]
             return rows
         finally:
-            if self._dirty:
+            if self._dirty or not conn.in_transaction:
                 self._open.pop(db_file).close()
 
     def close(self) -> None:
@@ -215,6 +224,11 @@ class ConnectionSet:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+# What a query can fail with: an error from SQLite, or text that has no
+# UTF-8 form (a lone surrogate), which the sqlite3 module cannot pass on.
+_QUERY_ERRORS = (sqlite3.Error, UnicodeEncodeError)
 
 
 def _tables_equal(
@@ -269,7 +283,9 @@ def ex_with_detail(
     """(matched, failure kind). Gold failures, a gold result of more than
     MAX_RESULT_ROWS rows among them, raise GoldExecutionError; an
     unreadable database file is an infrastructure error (OSError). A
-    prediction with more rows than that scores ``result_too_large``.
+    prediction with more rows than that scores ``result_too_large``. Text
+    that cannot be encoded as UTF-8 fails like a query SQLite rejects: a
+    prediction scores ``pred_exec_error``, a gold raises GoldExecutionError.
 
     Both queries run on ``connections``. ``ordered`` says whether the gold
     query fixes its row order, which then has to match as well. The
@@ -284,7 +300,7 @@ def ex_with_detail(
         raise GoldExecutionError(f"gold query timed out: {gold!r}") from err
     except _TooLarge as err:
         raise GoldExecutionError(f"gold result exceeds {MAX_RESULT_ROWS} rows") from err
-    except sqlite3.Error as err:
+    except _QUERY_ERRORS as err:
         raise GoldExecutionError(f"gold query failed: {err}") from err
     deadline = time.monotonic() + timeout_ms / 1000.0
     try:
@@ -294,7 +310,7 @@ def ex_with_detail(
         return False, "timeout"
     except _TooLarge:
         return False, "result_too_large"
-    except sqlite3.Error:
+    except _QUERY_ERRORS:
         return False, "pred_exec_error"
     return (True, None) if matched else (False, "result_mismatch")
 
@@ -401,7 +417,8 @@ def evaluate_split(
     the result ordering and the link target, and keeps only the exact
     match, the ordering flag and the link score, not the parse. The
     second executes gold and prediction on one read-only connection per
-    database file and drops the link score of gold that fails to execute.
+    database file, each reading one snapshot (see ConnectionSet), and
+    drops the link score of gold that fails to execute.
     """
     if timeout_ms <= 0:
         raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")

@@ -188,6 +188,10 @@ class EndpointConnection:
         self._conn.close()
 
 
+# A lone surrogate: JSON can escape one (``"\ud800"``), UTF-8 cannot hold it.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _retry_after(value: str | None) -> float:
     """Seconds a ``Retry-After`` header asks for: its delta-seconds form
     only, 0 for an HTTP date or anything unparsable."""
@@ -210,6 +214,9 @@ def complete(
     A 429 or 503 waits at least its ``Retry-After`` seconds before the
     next attempt. Other statuses outside 2xx fail immediately; redirects
     are not followed. Exhausting the budget raises EndpointError.
+
+    Each lone surrogate in the message text becomes U+FFFD, so that the
+    text can be written as UTF-8.
     """
     config = connection.config
     messages = []
@@ -249,7 +256,7 @@ def complete(
             content = json.loads(data)["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}, not str")
-            return content
+            return _LONE_SURROGATE.sub("\ufffd", content)
         except (ValueError, KeyError, IndexError, TypeError) as err:
             last_error = f"malformed response body: {err}"
             log.debug("attempt %d failed: %s", attempt + 1, last_error)
@@ -372,10 +379,20 @@ def run_pipeline(
 
 
 def write_traces(path: str | Path, traces) -> None:
-    """One JSON line per trace: its fields in declaration order."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(json.dumps(vars(trace), ensure_ascii=False) + "\n")
+    """One JSON line per trace: its fields in declaration order.
+
+    The lines go to ``<path>.tmp``, which then replaces ``path``; a write
+    that fails removes it and leaves any earlier file at ``path`` whole."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for trace in traces:
+                fh.write(json.dumps(vars(trace), ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_traces(path: str | Path, split: Split) -> list[dict]:

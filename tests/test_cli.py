@@ -7,8 +7,8 @@ import mockserver
 from mockserver import MockEndpoint
 
 from linksql.cli import build_parser, main
-from linksql.ingest import db_file_for
-from linksql.orchestrate import EndpointConfig
+from linksql.ingest import db_file_for, load_split
+from linksql.orchestrate import EndpointConfig, read_traces
 
 
 @pytest.fixture
@@ -28,6 +28,18 @@ def data_args(fixture_paths, split_file):
         "--examples", str(split_file),
         "--db-root", str(fixture_paths["db_root_a"]),
     ]
+
+
+def _venue_examples(path, n):
+    """An examples file of ``n`` questions, each with the same venue_events gold."""
+    path.write_text(
+        json.dumps(
+            [{"question": f"q{i}", "query": "SELECT Name FROM Venue", "db_id": "venue_events"}
+             for i in range(n)]
+        ),
+        encoding="utf-8",
+    )
+    return path
 
 
 def test_no_command_is_usage_error(capsys):
@@ -330,14 +342,7 @@ def test_eval_scores_predictions_outside_the_dialect(fixture_paths, tmp_path, ca
         "SELECT ² FROM Venue",
         "SELECT Name FROM Venue WHERE " + "(" * 2000 + "Capacity > 1" + ")" * 2000,
     ]
-    examples = tmp_path / "dev.json"
-    examples.write_text(
-        json.dumps(
-            [{"question": f"q{i}", "query": "SELECT Name FROM Venue", "db_id": "venue_events"}
-             for i in range(len(preds))]
-        ),
-        encoding="utf-8",
-    )
+    examples = _venue_examples(tmp_path / "dev.json", len(preds))
     traces = tmp_path / "traces.jsonl"
     traces.write_text(
         "".join(
@@ -359,6 +364,41 @@ def test_eval_scores_predictions_outside_the_dialect(fixture_paths, tmp_path, ca
     # SQLite rejects both too, and the execution side names the failure
     assert [v["failure_kind"] for v in verdicts] == [None, "pred_exec_error", "pred_exec_error"]
     assert json.loads((out_dir / "report.json").read_text())["n"] == 3
+
+
+def test_eval_scores_a_prediction_without_utf8_form(fixture_paths, tmp_path, capsys):
+    # a lone surrogate, as a JSON escape can spell it, once ended the whole run
+    preds = ["SELECT Name FROM Venue", "SELECT '\ud800'"]
+    examples = _venue_examples(tmp_path / "dev.json", len(preds))
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(
+        "".join(json.dumps(_trace(i, "full", p)) + "\n" for i, p in enumerate(preds)),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "scores"
+    rc = main(
+        ["eval", *data_args(fixture_paths, examples),
+         "--traces", str(traces),
+         "--out-dir", str(out_dir)]
+    )
+    assert rc == 0, capsys.readouterr().err
+    verdicts = [json.loads(line) for line in (out_dir / "verdicts.jsonl").read_text().splitlines()]
+    assert [v["failure_kind"] for v in verdicts] == [None, "pred_exec_error"]
+
+
+def test_infer_replaces_lone_surrogates_in_an_answer(fixture_paths, catalogs, tmp_path, capsys):
+    examples = _venue_examples(tmp_path / "dev.json", 2)
+    traces = tmp_path / "traces.jsonl"
+    with MockEndpoint(mockserver.constant("SELECT '\ud800'")) as ep:
+        rc = main(
+            ["infer", *data_args(fixture_paths, examples),
+             "--mode", "full", "--base-url", ep.base_url, "--model", "m",
+             "--out", str(traces)]
+        )
+    assert rc == 0, capsys.readouterr().err
+    split = load_split(examples, catalogs, fixture_paths["db_root_a"])
+    rows = read_traces(traces, split)
+    assert [row["extracted_sql"] for row in rows] == ["SELECT '\ufffd'"] * 2
 
 
 def _trace(i, mode="dts", sql="SELECT Name FROM Venue"):
@@ -415,14 +455,7 @@ def _trace(i, mode="dts", sql="SELECT Name FROM Venue"):
     ],
 )
 def test_eval_rejects_traces_it_cannot_attach(fixture_paths, tmp_path, capsys, rows, message):
-    examples = tmp_path / "dev.json"
-    examples.write_text(
-        json.dumps(
-            [{"question": f"q{i}", "query": "SELECT Name FROM Venue", "db_id": "venue_events"}
-             for i in range(2)]
-        ),
-        encoding="utf-8",
-    )
+    examples = _venue_examples(tmp_path / "dev.json", 2)
     traces = tmp_path / "traces.jsonl"
     traces.write_text(
         "".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in rows),

@@ -483,8 +483,12 @@ def test_reopened_connection_keeps_the_deadline(fixture_paths, conns):
         cross, "SELECT 1", library, conns, ordered=False, timeout_ms=200
     ) == (False, "timeout")
     assert time.monotonic() - start < 5
+    # the new connection reads inside a transaction of its own, and the
+    # interrupted query leaves the next one inside one too
+    assert conns._open[library].in_transaction
     query = "SELECT Title FROM Book"
     assert ex_with_detail(query, query, library, conns, ordered=False) == (True, None)
+    assert conns._open[library].in_transaction
 
 
 # 10 authors x 30 books x 12 members x 50 loans = 180,000 rows
@@ -515,6 +519,39 @@ def test_prediction_over_the_row_cap_scores_result_too_large(fixture_paths, conn
     # the connection is left ready for the next query
     assert library in conns._open
     assert ex_with_detail(gold, gold, library, conns, ordered=False) == (True, None)
+
+
+def test_kept_connection_reads_inside_one_transaction(scratch_db, conns):
+    assert conns.run(scratch_db, "SELECT a FROM t", time.monotonic() + 5)
+    conn = conns._open[scratch_db]
+    assert conn.in_transaction
+    # whatever ends the transaction, the query after it is the connection's last
+    conn.execute("COMMIT")
+    assert conns.run(scratch_db, "SELECT a FROM t", time.monotonic() + 5)
+    assert scratch_db not in conns._open
+    assert conns.run(scratch_db, "SELECT a FROM t", time.monotonic() + 5)
+    assert conns._open[scratch_db].in_transaction
+
+
+# a lone surrogate has no UTF-8 form, so the sqlite3 module cannot pass it on
+LONE_SURROGATE = "SELECT '\ud800'"
+
+
+def test_prediction_without_utf8_form_scores_pred_exec_error(scratch_db, conns):
+    assert ex_with_detail(LONE_SURROGATE, "SELECT 1", scratch_db, conns, ordered=False) == (
+        False,
+        "pred_exec_error",
+    )
+    # the connection is left ready for the next query
+    assert ex_with_detail("SELECT 1", "SELECT 1", scratch_db, conns, ordered=False) == (
+        True,
+        None,
+    )
+
+
+def test_gold_without_utf8_form_is_invalid_gold(scratch_db, conns):
+    with pytest.raises(GoldExecutionError):
+        ex_with_detail("SELECT 1", LONE_SURROGATE, scratch_db, conns, ordered=False)
 
 
 def test_ex_readonly_cannot_mutate(scratch_db, conns):
@@ -796,12 +833,15 @@ def _first_venue_name(venue_db) -> str:
         conn.close()
 
 
-@pytest.mark.parametrize("polluter", ["temp_table", "pragma", "attach", "begin"])
+@pytest.mark.parametrize(
+    "polluter", ["temp_table", "pragma", "attach", "begin", "commit", "rollback", "savepoint"]
+)
 def test_connection_state_does_not_leak(polluter, venue_split, venue_db):
     name = _first_venue_name(venue_db)
     # (state-changing prediction, next gold, next prediction): the next
     # pair scores differently on a connection that kept the state, except
-    # after BEGIN, whose open transaction no read can see
+    # after a transaction statement, whose effect on the connection's
+    # transaction no read can see
     cases = {
         "temp_table": (
             "CREATE TEMP TABLE Venue AS SELECT 99 AS Name",
@@ -819,6 +859,9 @@ def test_connection_state_does_not_leak(polluter, venue_split, venue_db):
             "SELECT name FROM x.sqlite_master",
         ),
         "begin": ("BEGIN", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
+        "commit": ("COMMIT", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
+        "rollback": ("ROLLBACK", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
+        "savepoint": ("SAVEPOINT s", "SELECT Name FROM Venue", "SELECT Name FROM Venue"),
     }
     first, next_gold, next_pred = cases[polluter]
     split = venue_split("SELECT Name FROM Venue", next_gold)

@@ -666,6 +666,31 @@ def test_write_traces_standalone(catalogs, tmp_path):
     assert read_traces(tmp_path / "t.jsonl", split)[0]["example_id"] == "x:0"
 
 
+def test_failed_trace_write_keeps_the_earlier_file(tmp_path):
+    def trace(i, sql):
+        return TwoStageTrace(
+            example_id=f"x:{i}",
+            mode="full",
+            stage1_prompt=None,
+            stage1_completion=None,
+            resolved_tables=(),
+            resolved_columns=(),
+            stage2_prompt="p",
+            stage2_completion=sql,
+            extracted_sql=sql,
+            wall_ms={},
+        )
+
+    path = tmp_path / "t.jsonl"
+    write_traces(path, [trace(0, "SELECT 1")])
+    before = path.read_bytes()
+    # a lone surrogate has no UTF-8 form: the second line cannot be encoded
+    with pytest.raises(UnicodeEncodeError):
+        write_traces(path, [trace(0, "SELECT 2"), trace(1, "SELECT '\ud800'")])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
+
+
 def test_read_traces_returns_rows_in_split_order(catalogs, tmp_path):
     cat = catalogs["venue_events"]
     examples = tuple(Example(f"x:{i}", "q", "SELECT 1", cat, None) for i in range(3))
