@@ -6,9 +6,6 @@ given as column-index pairs) and, optionally, live SQLite database files
 from which a few sample rows per table are captured for prompt rendering.
 
 Catalogs are immutable after construction and safe to share across threads.
-A catalog keeps the schema texts rendered from it for its own lifetime;
-derived catalogs (``attach_samples``) start with none. Threads rendering
-one selection at once may each render it, to the same text.
 """
 
 from __future__ import annotations
@@ -114,11 +111,6 @@ class DatabaseCatalog:
             for column in table.columns:
                 rank[table.normal_name, column.normal_name] = (i, column.ordinal)
         return rank
-
-    @cached_property
-    def rendered_schemas(self) -> dict[frozenset[str], str]:
-        """Schema text per table selection, filled by ``promptgen.render_schema``."""
-        return {}
 
     def table(self, normal_name: str) -> TableDef:
         return self.table_map[normal_name]

@@ -44,14 +44,14 @@ def load_split(
 
     Each example's id is ``<file stem>:<record index>``.
 
-    Each record must be an object whose three fields are strings; extra
-    fields are ignored. Any record naming a db_id without a loaded catalog
-    aborts the load, listing every offender. Each database the split names
-    is bound once: its file is looked up, and with ``sample_rows`` > 0 its
-    catalog gets that many sample rows per table from the file. Every
-    example of a database shares that one (catalog, file) pair. A missing
-    file is warned about once and leaves the database's examples
-    execution-ineligible and without samples.
+    Each record must be an object whose three fields are strings with a
+    UTF-8 form; extra fields are ignored. Any record naming a db_id
+    without a loaded catalog aborts the load, listing every offender. Each
+    database the split names is bound once: its file is looked up, and
+    with ``sample_rows`` > 0 its catalog gets that many sample rows per
+    table from the file. Every example of a database shares that one
+    (catalog, file) pair. A missing file is warned about once and leaves
+    the database's examples execution-ineligible and without samples.
     """
     examples_file = Path(examples_file)
     stem = examples_file.stem
@@ -66,10 +66,18 @@ def load_split(
         if not isinstance(rec, dict):
             raise ValueError(f"{examples_file}: record {i} is not a JSON object")
         for field_name in ("question", "query", "db_id"):
-            if not isinstance(rec.get(field_name), str):
+            value = rec.get(field_name)
+            if not isinstance(value, str):
                 raise ValueError(
                     f"{examples_file}: record {i}: {field_name!r} is missing or not a string"
                 )
+            if not value.isascii():
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate, which JSON can spell
+                    raise ValueError(
+                        f"{examples_file}: record {i}: {field_name!r} has no UTF-8 form"
+                    ) from None
         db_id = rec["db_id"]
         if db_id not in catalogs:
             unknown.add(db_id)

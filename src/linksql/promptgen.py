@@ -160,26 +160,17 @@ def render_schema(
 
     ``tables`` (normal names) restricts the rendering; foreign keys whose
     other endpoint is outside the selection are omitted so the reduced
-    schema never references an absent table. Each selection is rendered
-    once per catalog and kept in ``catalog.rendered_schemas``.
+    schema never references an absent table. The text is rendered anew on
+    every call; ``emit_sft_dataset`` (``prepare``) keeps it once per
+    database and table selection.
     """
-    selected = frozenset(catalog.table_names if tables is None else tables)
-    text = catalog.rendered_schemas.get(selected)
-    if text is not None:
-        return text
-    blocks = []
-    for table in catalog.tables:
-        norm = table.normal_name
-        if norm not in selected:
-            continue
-        fks = tuple(
-            fk
-            for fk in catalog.foreign_keys
-            if fk.from_table == norm and fk.to_table in selected
-        )
-        blocks.append(render_table(table, fks, catalog))
-    text = catalog.rendered_schemas[selected] = "\n\n".join(blocks)
-    return text
+    selected = catalog.table_names if tables is None else tables
+    fks = tuple(fk for fk in catalog.foreign_keys if fk.to_table in selected)
+    return "\n\n".join(
+        render_table(table, fks, catalog)
+        for table in catalog.tables
+        if table.normal_name in selected
+    )
 
 
 def link_fields(

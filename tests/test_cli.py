@@ -401,6 +401,44 @@ def test_infer_replaces_lone_surrogates_in_an_answer(fixture_paths, catalogs, tm
     assert [row["extracted_sql"] for row in rows] == ["SELECT '\ufffd'"] * 2
 
 
+def _surrogate_examples(path):
+    """A good venue_events record, then one whose question holds a lone surrogate."""
+    good = {"question": "q0", "query": "SELECT Name FROM Venue", "db_id": "venue_events"}
+    path.write_text(json.dumps([good, {**good, "question": "half \ud800?"}]), encoding="utf-8")
+    return path
+
+
+def test_infer_rejects_a_question_without_utf8_form_before_any_request(
+    fixture_paths, tmp_path, capsys
+):
+    examples = _surrogate_examples(tmp_path / "dev.json")
+    traces = tmp_path / "traces.jsonl"
+    with MockEndpoint(mockserver.constant("SELECT 1")) as ep:
+        rc = main(
+            ["infer", *data_args(fixture_paths, examples),
+             "--mode", "dts", "--base-url", ep.base_url, "--model", "m",
+             "--out", str(traces)]
+        )
+    assert rc == 2
+    assert "record 1: 'question' has no UTF-8 form" in capsys.readouterr().err
+    assert ep.requests == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.json"]
+
+
+def test_prepare_rejects_a_question_without_utf8_form_before_writing(
+    fixture_paths, tmp_path, capsys
+):
+    examples = _surrogate_examples(tmp_path / "dev.json")
+    for stage in ("full", "link", "gen"):
+        rc = main(
+            ["prepare", *data_args(fixture_paths, examples),
+             "--stage", stage, "--out", str(tmp_path / f"{stage}.jsonl")]
+        )
+        assert rc == 2
+        assert "record 1: 'question' has no UTF-8 form" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.json"]
+
+
 def _trace(i, mode="dts", sql="SELECT Name FROM Venue"):
     return {"example_id": f"dev:{i}", "mode": mode, "extracted_sql": sql}
 

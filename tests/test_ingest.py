@@ -63,8 +63,19 @@ _GOOD = {"question": "a", "query": "SELECT 1", "db_id": "retail"}
         ({**_GOOD, "query": None}, "record 1: 'query' is missing or not a string"),
         # this used to be reported as "db_ids without catalogs: None"
         ({"question": "a", "query": "SELECT 1"}, "record 1: 'db_id' is missing or not a string"),
+        # a lone surrogate, as a JSON escape spells it: no prompt or trace can hold it
+        ({**_GOOD, "question": "half \ud800?"}, "record 1: 'question' has no UTF-8 form"),
+        ({**_GOOD, "query": "SELECT '\udfff'"}, "record 1: 'query' has no UTF-8 form"),
     ],
-    ids=["no-query", "not-an-object", "number-question", "null-query", "no-db-id"],
+    ids=[
+        "no-query",
+        "not-an-object",
+        "number-question",
+        "null-query",
+        "no-db-id",
+        "surrogate-question",
+        "surrogate-query",
+    ],
 )
 def test_missing_field_rejected(catalogs, fixture_paths, tmp_path, record, message):
     path = _write(tmp_path, [_GOOD, record])

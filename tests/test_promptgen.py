@@ -2,10 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import random
 import re
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -97,40 +94,13 @@ def _selections(cat):
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["plain", "sampled"])
 def test_cached_render_equals_a_fresh_render(catalogs, catalogs_sampled, sampled):
+    # prepare keeps one render per selection; it must equal a fresh render of a copy
     for cat in (catalogs_sampled if sampled else catalogs).values():
         for tables in _selections(cat):
             first = render_schema(cat, tables)
-            assert render_schema(cat, tables) is first
+            assert render_schema(cat, tables) == first
             assert first == render_schema(dataclasses.replace(cat), tables)
-        assert render_schema(cat, None) is render_schema(cat, set(cat.table_names))
-
-
-def test_concurrent_renders_agree_with_a_fresh_render(catalogs_sampled):
-    cat = catalogs_sampled["venue_events"]
-    want = {t: render_schema(dataclasses.replace(cat), t) for t in _selections(cat)}
-    shared = dataclasses.replace(cat)
-    mismatches = []
-
-    def worker(seed):
-        order = list(want)
-        random.Random(seed).shuffle(order)
-        for tables in order * 3:
-            if render_schema(shared, tables) != want[tables]:
-                mismatches.append(tables)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert mismatches == []
-    assert {t: render_schema(shared, t) for t in want} == want
+        assert render_schema(cat, None) == render_schema(cat, set(cat.table_names))
 
 
 def test_attach_samples_does_not_inherit_rendered_texts(catalogs, fixture_paths):
@@ -142,18 +112,6 @@ def test_attach_samples_does_not_inherit_rendered_texts(catalogs, fixture_paths)
     assert text == render_schema(dataclasses.replace(sampled))
     for table in sampled.tables:
         assert "\t".join(table.sample_rows[0]) in text
-
-
-def test_rendering_leaves_equality_and_hash_alone(catalogs_sampled):
-    for cat in catalogs_sampled.values():
-        cat = dataclasses.replace(cat)
-        fresh = dataclasses.replace(cat)
-        before = hash(cat)
-        for tables in _selections(cat):
-            render_schema(cat, tables)
-        assert hash(cat) == before == hash(fresh)
-        assert cat == fresh and fresh == cat
-        assert repr(cat) == repr(fresh)
 
 
 def test_serialize_link_target_catalog_order(catalogs):
@@ -350,6 +308,30 @@ def test_emit_derives_link_targets_only_where_a_record_uses_them(
     manifest = emit_sft_dataset(split100.examples[:10], stage, tmp_path / f"{stage}.jsonl")
     assert manifest["count"] == 10
     assert len(calls) == (0 if stage == "full" else 10)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_emit_renders_each_selection_once(stage, split100, tmp_path, monkeypatch):
+    calls = []
+
+    def spy(catalog, tables=None):
+        calls.append((catalog.db_id, tables))
+        return render_schema(catalog, tables)
+
+    monkeypatch.setattr(promptgen, "render_schema", spy)
+    emit_sft_dataset(split100.examples, stage, tmp_path / f"{stage}.jsonl")
+    # one per database for full and link, one per gold table set for gen
+    selections = {
+        (
+            ex.db_id,
+            extract_link_targets(parse_sql(ex.gold_sql, ex.catalog)).tables
+            if stage == "gen"
+            else None,
+        )
+        for ex in split100.examples
+    }
+    assert len(calls) == len(selections)
+    assert set(calls) == selections
 
 
 def test_emit_prompt_joins_system_and_body(split100, catalogs, tmp_path):
