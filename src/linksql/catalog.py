@@ -131,8 +131,8 @@ def load_catalogs(tables_metadata_file: str | Path) -> list[DatabaseCatalog]:
 
     Raises CatalogError on malformed JSON (with file offset), on a
     database entry, field, column entry, primary key or foreign key of
-    another shape, on any out-of-range index and on a table without
-    columns (naming the offending db_id).
+    another shape, on any out-of-range index, on a table without columns
+    and on a second entry for one db_id (naming the offending db_id).
     """
     path = Path(tables_metadata_file)
     try:
@@ -142,9 +142,12 @@ def load_catalogs(tables_metadata_file: str | Path) -> list[DatabaseCatalog]:
     if not isinstance(raw, list):
         raise CatalogError(f"{path}: expected a JSON array of database entries")
 
-    catalogs = []
-    for entry in raw:
-        catalogs.append(_build_catalog(entry, path))
+    catalogs = [_build_catalog(entry, path) for entry in raw]
+    seen = set()
+    for catalog in catalogs:
+        if catalog.db_id in seen:
+            raise CatalogError(f"{path}: db {catalog.db_id!r}: a second entry for this db_id")
+        seen.add(catalog.db_id)
     return catalogs
 
 

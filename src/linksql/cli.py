@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import evalx
 from .catalog import CatalogError, load_catalogs
-from .ingest import load_split
+from .ingest import Split, load_split
 from .orchestrate import MODES, EndpointConfig, read_traces, run_pipeline, trace_link_target
 from .promptgen import STAGES, PromptTemplateSet, emit_sft_dataset
 
@@ -86,9 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_prepare(args) -> int:
+def _load_split(args, sample_rows: int = 0) -> Split:
+    """The examples of ``--examples`` over the schemas of ``--tables`` and
+    the databases under ``--db-root``."""
     catalogs = {c.db_id: c for c in load_catalogs(args.tables)}
-    split = load_split(args.examples, catalogs, args.db_root, sample_rows=args.with_samples)
+    return load_split(args.examples, catalogs, args.db_root, sample_rows)
+
+
+def _cmd_prepare(args) -> int:
+    split = _load_split(args, args.with_samples)
     templates = PromptTemplateSet.load(args.generation_template, args.linking_template)
     manifest = emit_sft_dataset(split.examples, args.stage, args.out, templates)
     print(
@@ -102,8 +108,7 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    catalogs = {c.db_id: c for c in load_catalogs(args.tables)}
-    split = load_split(args.examples, catalogs, args.db_root, sample_rows=args.with_samples)
+    split = _load_split(args, args.with_samples)
     templates = PromptTemplateSet.load(args.generation_template, args.linking_template)
     config = EndpointConfig(
         base_url=args.base_url,
@@ -133,8 +138,7 @@ def _cmd_eval(args) -> int:
     unknown = metrics - {"ex", "em", "link"}
     if unknown:
         raise ValueError(f"unknown metrics: {', '.join(sorted(unknown))}")
-    catalogs = {c.db_id: c for c in load_catalogs(args.tables)}
-    split = load_split(args.examples, catalogs, args.db_root)
+    split = _load_split(args)
     traces = read_traces(args.traces, split)
     report, verdicts = evalx.evaluate_split(
         traces[0]["mode"],

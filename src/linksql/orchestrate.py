@@ -210,7 +210,8 @@ def complete(
     ``connection.config``, and the connection stays open.
 
     Transient: transport errors, HTTP 5xx, 429, malformed response body
-    (one whose message content is not a string included).
+    (one nested too deeply to decode, or whose message content is not a
+    string, included).
     A 429 or 503 waits at least its ``Retry-After`` seconds before the
     next attempt. Other statuses outside 2xx fail immediately; redirects
     are not followed. Exhausting the budget raises EndpointError.
@@ -257,7 +258,8 @@ def complete(
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}, not str")
             return _LONE_SURROGATE.sub("\ufffd", content)
-        except (ValueError, KeyError, IndexError, TypeError) as err:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as err:
+            # RecursionError: JSON nested deeper than the decoder recurses
             last_error = f"malformed response body: {err}"
             log.debug("attempt %d failed: %s", attempt + 1, last_error)
             continue

@@ -117,28 +117,22 @@ def render_table(
     attached.
     Output is identical regardless of which stage consumes it.
     """
-    by_normal = {c.normal_name: c for c in table.columns}
     lines = [f'CREATE TABLE "{table.name}" (']
     body: list[str] = []
     for col in table.columns:
         body.append(f'\t"{col.name}" {col.data_type}')
     if table.primary_key:
-        pk_cols = sorted(table.primary_key, key=lambda n: by_normal[n].ordinal)
-        quoted = ", ".join(f'"{by_normal[n].name}"' for n in pk_cols)
+        pk_cols = sorted(map(table.column, table.primary_key), key=lambda c: c.ordinal)
+        quoted = ", ".join(f'"{c.name}"' for c in pk_cols)
         body.append(f"\tprimary key ({quoted})")
     for fk in fks:
         if fk.from_table != table.normal_name:
             continue
-        from_name = by_normal[fk.from_column].name if fk.from_column in by_normal else fk.from_column
-        to_table = fk.to_table
-        to_column = fk.to_column
-        if catalog.has_table(fk.to_table):
-            target = catalog.table(fk.to_table)
-            to_table = target.name
-            if target.has_column(fk.to_column):
-                to_column = target.column(fk.to_column).name
+        # the catalog resolved both endpoints to columns of its own
+        target = catalog.table(fk.to_table)
         body.append(
-            f'\tforeign key ("{from_name}") references "{to_table}" ("{to_column}")'
+            f'\tforeign key ("{table.column(fk.from_column).name}") references'
+            f' "{target.name}" ("{target.column(fk.to_column).name}")'
         )
     lines.extend(f"{entry}," for entry in body[:-1])
     lines.append(body[-1])

@@ -81,8 +81,8 @@ def _collect_expr(expr, tables: set, columns: set) -> None:
         _collect_expr(expr.arg, tables, columns)
         return
     if isinstance(expr, Arith):
-        _collect_expr(expr.left, tables, columns)
-        _collect_expr(expr.right, tables, columns)
+        for operand in expr.operands:
+            _collect_expr(operand, tables, columns)
         return
     # Star and Literal carry no column references.
 
@@ -148,7 +148,7 @@ def _canon_expr(expr, iv: bool) -> tuple:
     if isinstance(expr, Agg):
         return ("agg", expr.func, expr.distinct, _canon_expr(expr.arg, iv))
     if isinstance(expr, Arith):
-        return ("arith", expr.op, _canon_expr(expr.left, iv), _canon_expr(expr.right, iv))
+        return ("arith", expr.ops, tuple(_canon_expr(x, iv) for x in expr.operands))
     raise TypeError(f"unexpected expression node {expr!r}")
 
 

@@ -10,6 +10,12 @@ of the aliases the author chose.
 A select item is a plain expression, like any other value position, so an
 aggregate call is an ``Agg`` node wherever it is written: ``count(*)`` in
 the select list and ``count(*)`` in HAVING are the same node.
+
+Chains are flat: a ``BoolNode`` holds every operand of a run of AND or of
+OR, and an ``Arith`` every operand of a run of ``+``/``-`` or of
+``*``/``/``. A tree is as deep as the query's parentheses and subqueries,
+not as long as its chains, so the generated ``__eq__``, ``__hash__`` and
+``__repr__`` and every walker handle a sum of any length.
 """
 
 from __future__ import annotations
@@ -82,52 +88,19 @@ class Agg:
     arg: object  # Star | ColumnRef | Arith | Literal
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class Arith:
-    """A binary arithmetic expression.
+    """A run of one precedence class of arithmetic: ``operands[0] ops[0]
+    operands[1] ops[1] ...``, left to right.
 
-    The parser builds a chain such as ``1+1+…+1`` down its left operand, so
-    equality, hashing and repr walk that spine in a loop: the generated
-    methods would recurse once per node and overflow the stack on a long sum.
+    The ops are all ``+``/``-`` or all ``*``/``/``, and there is one more
+    operand than op. A parenthesized first operand of the same class is
+    merged, so ``(a+b)-c`` is the node of ``a+b-c``, while ``a-(b-c)`` keeps
+    its inner node. A long sum is one wide node, not a deep chain.
     """
 
-    op: str
-    left: object
-    right: object
-
-    def __eq__(self, other):
-        if other.__class__ is not Arith:
-            return NotImplemented
-        a, b = self, other
-        while a.__class__ is Arith and b.__class__ is Arith:
-            if a is b:
-                return True
-            if a.op != b.op or a.right != b.right:
-                return False
-            a, b = a.left, b.left
-        return a == b
-
-    def __hash__(self):
-        spine = []
-        node = self
-        while node.__class__ is Arith:
-            spine.append(node)
-            node = node.left
-        h = hash(node)
-        for node in reversed(spine):
-            h = hash((node.op, h, node.right))
-        return h
-
-    def __repr__(self):
-        # the dataclass repr, with the left spine's parts joined in one pass
-        spine = []
-        node = self
-        while node.__class__ is Arith:
-            spine.append(node)
-            node = node.left
-        heads = [f"Arith(op={n.op!r}, left=" for n in spine]
-        tails = [f", right={n.right!r})" for n in reversed(spine)]
-        return "".join(heads) + repr(node) + "".join(tails)
+    ops: tuple[str, ...]
+    operands: tuple[object, ...]
 
 
 # An expression position holds one of: Star, ColumnRef, Literal, Agg, Arith.

@@ -390,20 +390,33 @@ class _Parser:
         return self.parse_arith()
 
     def parse_arith(self):
-        left = self.parse_term()
+        first = self.parse_term()
         tags = self.tags
+        if tags[self.i] not in ("+", "-"):
+            return first
+        # a parenthesized first operand of the same class joins the run
+        if first.__class__ is Arith and first.ops[0] in ("+", "-"):
+            ops, operands = list(first.ops), list(first.operands)
+        else:
+            ops, operands = [], [first]
         while tags[self.i] in ("+", "-"):
-            op = self.take()
-            left = Arith(op, left, self.parse_term())
-        return left
+            ops.append(self.take())
+            operands.append(self.parse_term())
+        return Arith(tuple(ops), tuple(operands))
 
     def parse_term(self):
-        left = self.parse_atom()
+        first = self.parse_atom()
         tags = self.tags
+        if tags[self.i] not in ("*", "/"):
+            return first
+        if first.__class__ is Arith and first.ops[0] in ("*", "/"):
+            ops, operands = list(first.ops), list(first.operands)
+        else:
+            ops, operands = [], [first]
         while tags[self.i] in ("*", "/"):
-            op = self.take()
-            left = Arith(op, left, self.parse_atom())
-        return left
+            ops.append(self.take())
+            operands.append(self.parse_atom())
+        return Arith(tuple(ops), tuple(operands))
 
     def parse_atom(self):
         tags = self.tags

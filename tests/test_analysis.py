@@ -411,7 +411,12 @@ def _ref_expr(expr, iv):
         return ("lit", "?", "?") if iv else ("lit", expr.kind, expr.text)
     if isinstance(expr, Agg):
         return ("agg", expr.func, expr.distinct, _ref_expr(expr.arg, iv))
-    return ("arith", expr.op, _ref_expr(expr.left, iv), _ref_expr(expr.right, iv))
+    # unrolled into the left-nested binary chain, so that the reference does
+    # not depend on how the parser flattens a run
+    ref = _ref_expr(expr.operands[0], iv)
+    for op, operand in zip(expr.ops, expr.operands[1:]):
+        ref = ("arith", op, ref, _ref_expr(operand, iv))
+    return ref
 
 
 def _ref_tree(tree, iv):
@@ -541,6 +546,24 @@ def test_em_agrees_with_repr_sorted_form(pools, catalogs, seed):
             "SELECT count(*) FROM Loan",
             False,
         ),
+        (
+            "venue_events",
+            "SELECT ((Capacity * Venue_ID)) / 2 FROM Venue WHERE 3 < (Capacity + 1) - Venue_ID",
+            "SELECT Capacity * Venue_ID / 2 FROM Venue WHERE 3 < Capacity + 1 - Venue_ID",
+            True,
+        ),
+        (
+            "venue_events",
+            "SELECT Capacity + (Venue_ID + 1) FROM Venue",
+            "SELECT Capacity + Venue_ID + 1 FROM Venue",
+            False,
+        ),
+        (
+            "venue_events",
+            "SELECT (Capacity + Venue_ID) * 2 FROM Venue",
+            "SELECT Capacity + Venue_ID * 2 FROM Venue",
+            False,
+        ),
     ],
     ids=[
         "two-nested-ands",
@@ -551,6 +574,9 @@ def test_em_agrees_with_repr_sorted_form(pools, catalogs, seed):
         "other-duplicate",
         "in-list-duplicate",
         "self-join",
+        "parenthesized-first-operand",
+        "parenthesized-last-operand",
+        "parenthesized-lower-class",
     ],
 )
 def test_bags_flatten_and_count_as_before(catalogs, db, a, b, same):

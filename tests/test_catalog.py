@@ -156,24 +156,33 @@ def test_malformed_entry_rejected(tmp_path, field, value, message):
 
 
 @pytest.mark.parametrize(
-    "entry, message",
+    "entries, message",
     [
-        ([1, 2], r"database entry is not a JSON object: \[1, 2\]$"),
-        (None, r"database entry is not a JSON object: None$"),
-        ({"db_id": ["d"]}, r"db_id is not a string: \['d'\]$"),
+        ([[1, 2]], r"database entry is not a JSON object: \[1, 2\]$"),
+        ([None], r"database entry is not a JSON object: None$"),
+        ([{"db_id": ["d"]}], r"db_id is not a string: \['d'\]$"),
+        # every caller keys catalogs by db_id, which would keep the last entry
+        (
+            [{"db_id": "d"}, {"db_id": "e"}, {"db_id": "d"}],
+            r"db 'd': a second entry for this db_id$",
+        ),
     ],
-    ids=["list", "null", "db-id-a-list"],
+    ids=["list", "null", "db-id-a-list", "db-id-twice"],
 )
-def test_entry_of_another_shape_rejected(tmp_path, entry, message):
-    if isinstance(entry, dict):
-        entry = {
+def test_entry_of_another_shape_rejected(tmp_path, entries, message):
+    entries = [
+        {
             "table_names_original": ["T"],
             "column_names_original": [[-1, "*"], [0, "A"]],
             "column_types": ["text", "text"],
             **entry,
         }
+        if isinstance(entry, dict)
+        else entry
+        for entry in entries
+    ]
     bad = tmp_path / "tables.json"
-    bad.write_text(json.dumps([entry]), encoding="utf-8")
+    bad.write_text(json.dumps(entries), encoding="utf-8")
     with pytest.raises(CatalogError, match=rf"^{re.escape(str(bad))}: {message}"):
         load_catalogs(bad)
 

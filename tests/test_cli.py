@@ -30,12 +30,14 @@ def data_args(fixture_paths, split_file):
     ]
 
 
-def _venue_examples(path, n):
-    """An examples file of ``n`` questions, each with the same venue_events gold."""
+def _venue_examples(path, n, golds=None):
+    """An examples file of ``n`` venue_events questions, with the given gold
+    queries or else each with the same one."""
+    golds = golds or ["SELECT Name FROM Venue"] * n
     path.write_text(
         json.dumps(
-            [{"question": f"q{i}", "query": "SELECT Name FROM Venue", "db_id": "venue_events"}
-             for i in range(n)]
+            [{"question": f"q{i}", "query": gold, "db_id": "venue_events"}
+             for i, gold in enumerate(golds)]
         ),
         encoding="utf-8",
     )
@@ -105,6 +107,31 @@ def test_table_without_columns_exit_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "db 'hollow': table 'Empty' has no columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["prepare", "infer", "eval"])
+def test_a_db_id_listed_twice_exit_2(fixture_paths, tmp_path, capsys, command):
+    # the second venue_events entry once silently replaced the first
+    entries = json.loads(fixture_paths["tables"].read_text(encoding="utf-8"))
+    venue = next(e for e in entries if e["db_id"] == "venue_events")
+    tables = tmp_path / "tables.json"
+    tables.write_text(json.dumps(entries + [venue]), encoding="utf-8")
+    examples = _venue_examples(tmp_path / "dev.json", 1)
+    out = str(tmp_path / "out")
+    extra = {
+        "prepare": ["--stage", "full", "--out", out],
+        "infer": ["--mode", "full", "--base-url", "http://127.0.0.1:9", "--model", "m",
+                  "--out", out],
+        "eval": ["--traces", out, "--out-dir", out],
+    }[command]
+    rc = main(
+        [command, "--tables", str(tables), "--examples", str(examples),
+         "--db-root", str(fixture_paths["db_root_a"]), *extra]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {tables}: db 'venue_events': a second entry for this db_id\n"
+    )
 
 
 def test_prepare_writes_dataset(fixture_paths, split_file, tmp_path, capsys):
@@ -206,6 +233,22 @@ def test_infer_exit_2_when_every_example_failed(fixture_paths, split100, tmp_pat
     assert out == f"traced 3 examples to {traces} (3 failures)\n"
     assert err.startswith("error: every example failed at the endpoint (first: stage1: ")
     assert len(traces.read_text(encoding="utf-8").splitlines()) == 3
+
+
+def test_infer_traces_a_body_nested_too_deeply_as_an_error(fixture_paths, tmp_path, capsys):
+    # once a RecursionError out of main, after the request was paid for
+    examples = _venue_examples(tmp_path / "dev.json", 1)
+    traces = tmp_path / "traces.jsonl"
+    with MockEndpoint(mockserver.always_status(200, "[" * 100000 + "]" * 100000)) as ep:
+        rc = main(
+            ["infer", *data_args(fixture_paths, examples),
+             "--mode", "full", "--base-url", ep.base_url, "--model", "m",
+             "--out", str(traces), "--max-retries", "0"]
+        )
+    assert rc == 2
+    assert "every example failed at the endpoint" in capsys.readouterr().err
+    (row,) = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]
+    assert "malformed response body" in row["error"] and row["extracted_sql"] == ""
 
 
 def test_infer_eval_report_flow(fixture_paths, split_file, oracle_answers, tmp_path, capsys):
@@ -364,6 +407,75 @@ def test_eval_scores_predictions_outside_the_dialect(fixture_paths, tmp_path, ca
     # SQLite rejects both too, and the execution side names the failure
     assert [v["failure_kind"] for v in verdicts] == [None, "pred_exec_error", "pred_exec_error"]
     assert json.loads((out_dir / "report.json").read_text())["n"] == 3
+
+
+# Parsed, a sum is one node however long; SQLite refuses this one as deeper
+# than its expression limit. Exact match and link extraction once walked it
+# as a chain of 5000 nested nodes and overflowed the stack.
+_LONG_SUM = "SELECT " + "+".join(["Capacity"] * 5000) + " FROM Venue"
+
+
+def _eval_venue(fixture_paths, tmp_path, golds, preds):
+    """Run eval with links over venue_events examples; return the exit code,
+    the (exact, execution, failure kind) of each verdict and the report."""
+    examples = _venue_examples(tmp_path / "dev.json", len(golds), golds)
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(
+        "".join(json.dumps(_trace(i, "full", p)) + "\n" for i, p in enumerate(preds)),
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "scores"
+    rc = main(
+        ["eval", *data_args(fixture_paths, examples),
+         "--traces", str(traces), "--metrics", "ex,em,link", "--out-dir", str(out_dir)]
+    )
+    verdicts = [json.loads(line) for line in (out_dir / "verdicts.jsonl").read_text().splitlines()]
+    outcomes = [(v["exact_match"], v["execution_match"], v["failure_kind"]) for v in verdicts]
+    return rc, outcomes, json.loads((out_dir / "report.json").read_text())
+
+
+def test_eval_scores_a_long_predicted_sum(fixture_paths, tmp_path, capsys):
+    preds = ["SELECT Name FROM Venue", _LONG_SUM, "SELECT City FROM Venue"]
+    rc, outcomes, report = _eval_venue(fixture_paths, tmp_path, [preds[0]] * 3, preds)
+    assert rc == 0, capsys.readouterr().err
+    assert outcomes == [
+        (True, True, None), (False, False, "pred_exec_error"), (False, False, "result_mismatch")
+    ]
+    assert report["n"] == 3 and report["invalid_gold"] == []
+
+
+def test_eval_counts_a_long_gold_sum_as_invalid_gold(fixture_paths, tmp_path, capsys):
+    golds = ["SELECT Name FROM Venue", _LONG_SUM]
+    preds = ["SELECT Name FROM Venue", "SELECT Capacity FROM Venue"]
+    rc, outcomes, report = _eval_venue(fixture_paths, tmp_path, golds, preds)
+    assert rc == 0, capsys.readouterr().err
+    assert outcomes == [(True, True, None)]
+    assert report["n"] == 1 and report["invalid_gold"] == ["dev:1"]
+
+
+def test_prepare_gen_writes_the_record_of_a_long_gold_sum(fixture_paths, tmp_path, capsys):
+    examples = _venue_examples(tmp_path / "dev.json", 1, [_LONG_SUM])
+    out = tmp_path / "gen.jsonl"
+    rc = main(["prepare", *data_args(fixture_paths, examples), "--stage", "gen", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    (record,) = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert record["completion"] == _LONG_SUM
+    assert 'CREATE TABLE "Venue"' in record["prompt"] and '"Event"' not in record["prompt"]
+
+
+def test_infer_oracle_link_traces_a_long_gold_sum(fixture_paths, tmp_path, capsys):
+    examples = _venue_examples(tmp_path / "dev.json", 1, [_LONG_SUM])
+    traces = tmp_path / "traces.jsonl"
+    with MockEndpoint(mockserver.constant("SELECT Name FROM Venue")) as ep:
+        rc = main(
+            ["infer", *data_args(fixture_paths, examples),
+             "--mode", "oracle-link", "--base-url", ep.base_url, "--model", "m",
+             "--out", str(traces)]
+        )
+    assert rc == 0, capsys.readouterr().err
+    (row,) = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]
+    assert row["error"] is None and row["extracted_sql"] == "SELECT Name FROM Venue"
+    assert row["resolved_tables"] == ["venue"] and row["resolved_columns"] == ["venue.capacity"]
 
 
 def test_eval_scores_a_prediction_without_utf8_form(fixture_paths, tmp_path, capsys):

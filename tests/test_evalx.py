@@ -891,8 +891,7 @@ def test_timeout_on_reused_connection_then_normal_query(venue_split):
         # two select items: the canonical sum is hashed into a bag; 950
         # terms is about as deep as SQLite's expression limit allows
         ("SELECT Name, {sum} FROM Venue", "select {spaced}, name from venue", 950),
-        # UNION operands: the canonical sum is also spelled, to order them,
-        # which takes a few more frames of the recursion limit
+        # UNION operands: the canonical sums are hashed into a bag of queries
         (
             "SELECT {sum} FROM Venue UNION SELECT Capacity FROM Venue",
             "select capacity from venue union select {spaced} from venue",

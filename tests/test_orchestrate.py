@@ -153,6 +153,16 @@ def test_malformed_body_retried_then_fails():
         assert len(ep.requests) == 2
 
 
+def test_body_nested_too_deeply_retried_then_fails():
+    # the decoder's RecursionError once escaped as if it were a bug of ours
+    deep = "[" * 100000 + "]" * 100000
+    with MockEndpoint(mockserver.always_status(200, deep)) as ep:
+        with pytest.raises(EndpointError, match="malformed response body"):
+            with connected(cfg(ep, max_retries=1)) as conn:
+                complete(conn, "p", sleep=_no_sleep)
+        assert len(ep.requests) == 2
+
+
 def test_backoff_doubles():
     waits = []
     with MockEndpoint(mockserver.always_status(500)) as ep:

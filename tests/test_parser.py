@@ -11,6 +11,7 @@ from linksql.sqlast import (
     BoolNode,
     ColumnRef,
     JoinPair,
+    LinkTarget,
     Literal,
     Predicate,
     QueryAst,
@@ -19,6 +20,7 @@ from linksql.sqlast import (
     SqlParseError,
     Star,
     exact_set_match,
+    extract_link_targets,
     parse_sql,
 )
 
@@ -98,15 +100,26 @@ def test_select_aggregate_is_the_same_node_as_elsewhere(cat):
 def test_aggregate_inside_arithmetic(cat):
     ast = parse_sql("SELECT max(Capacity) - min(Capacity) FROM Venue", cat)
     expr = ast.select_items[0]
-    assert isinstance(expr, Arith) and expr.op == "-"
-    assert isinstance(expr.left, Agg) and isinstance(expr.right, Agg)
+    assert isinstance(expr, Arith) and expr.ops == ("-",)
+    assert [type(x) for x in expr.operands] == [Agg, Agg]
 
 
 def test_arithmetic_precedence(cat):
     ast = parse_sql("SELECT Capacity + Venue_ID * 2 FROM Venue", cat)
     expr = ast.select_items[0]
-    assert expr.op == "+"
-    assert isinstance(expr.right, Arith) and expr.right.op == "*"
+    assert expr.ops == ("+",) and expr.operands[0] == ColumnRef("venue", "capacity")
+    term = expr.operands[1]
+    assert isinstance(term, Arith) and term.ops == ("*",)
+    assert term.operands == (ColumnRef("venue", "venue_id"), Literal("num", "2"))
+    # a parenthesized first operand of the same class joins the run
+    flat = parse_sql("SELECT Capacity + 1 - Venue_ID FROM Venue", cat)
+    assert parse_sql("SELECT (Capacity + 1) - Venue_ID FROM Venue", cat) == flat
+    assert flat.select_items[0].ops == ("+", "-")
+    nested = parse_sql("SELECT Capacity - (1 - Venue_ID) FROM Venue", cat)
+    assert nested != parse_sql("SELECT Capacity - 1 - Venue_ID FROM Venue", cat)
+    assert nested.select_items[0].operands[1] == Arith(
+        ("-",), (Literal("num", "1"), ColumnRef("venue", "venue_id"))
+    )
 
 
 def test_join_condition_is_unordered(cat):
@@ -455,35 +468,39 @@ def test_deep_nesting_is_a_parse_error(cat, position):
 
 
 def test_long_sum_hashes_and_compares(cat):
-    # The parser chains a flat sum down the left operand; a comparison or
-    # hash that recursed once per term would overflow the stack here.
-    terms = ["1"] * 950
+    # A sum is one wide node, so nothing recurses once per term; a walk
+    # that did would overflow the stack here.
+    terms = ["Capacity"] * 5000
     sql = "SELECT " + "+".join(terms) + " FROM Venue"
     a, b = parse_sql(sql, cat), parse_sql(sql, cat)
     assert a is not b and hash(a) == hash(b) and a == b
-    for i in (0, 474, 948):
-        ops = ["+"] * 949
+    assert exact_set_match(a, b) and exact_set_match(a, b, ignore_values=True)
+    assert extract_link_targets(a) == LinkTarget(
+        frozenset({"venue"}), frozenset({("venue", "capacity")})
+    )
+    for i in (0, 2499, 4998):
+        ops = ["+"] * 4999
         ops[i] = "-"
         flipped = parse_sql(
-            "SELECT " + "".join(t + op for t, op in zip(terms, ops)) + "1 FROM Venue", cat
+            "SELECT " + "".join(t + op for t, op in zip(terms, ops)) + "Capacity FROM Venue", cat
         )
         assert a != flipped and not a == flipped
+        assert not exact_set_match(a, flipped) and not exact_set_match(flipped, a, True)
 
 
 def test_long_sum_reprs(cat):
-    # A repr that recursed once per term would overflow the stack here, and
-    # so would every log line or assertion message that prints the AST.
+    # The generated repr prints a sum as one tuple of terms, so neither it
+    # nor a log line or assertion message that prints the AST overflows.
     one = "Literal(kind='num', text='1')"
-    ast = parse_sql("SELECT " + "+".join(["1"] * 950) + " FROM Venue", cat)
-    chain = "Arith(op='+', left=" * 949 + one + f", right={one})" * 949
+    ast = parse_sql("SELECT " + "+".join(["1"] * 5000) + " FROM Venue", cat)
+    chain = "Arith(ops=(" + "'+', " * 4998 + "'+'), operands=(" + ", ".join([one] * 5000) + "))"
     assert chain in repr(ast)
     with pytest.raises(AssertionError, match=r"^unexpected QueryAst\(.*select_items=\(Arith\("):
         assert ast is None, f"unexpected {ast}"
-    # a short chain reads as the generated dataclass repr would spell it
     assert repr(parse_sql("SELECT 1-2*3+4 FROM Venue", cat).select_items[0]) == (
-        "Arith(op='+', left=Arith(op='-', left=Literal(kind='num', text='1'), "
-        "right=Arith(op='*', left=Literal(kind='num', text='2'), "
-        "right=Literal(kind='num', text='3'))), right=Literal(kind='num', text='4'))"
+        "Arith(ops=('-', '+'), operands=(Literal(kind='num', text='1'), "
+        "Arith(ops=('*',), operands=(Literal(kind='num', text='2'), "
+        "Literal(kind='num', text='3'))), Literal(kind='num', text='4')))"
     )
 
 
