@@ -109,12 +109,13 @@ def em_with_detail(
 # -- execution -------------------------------------------------------------
 
 
-class _Timeout(Exception):
-    pass
+class _QueryFailed(Exception):
+    """A query that gave no result table: ``kind`` is the failure kind a
+    prediction scores for it, the message why (SQLite's, if it refused)."""
 
-
-class _TooLarge(Exception):
-    pass
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
 
 
 def _cell_key(value):
@@ -149,8 +150,8 @@ class ConnectionSet:
     connection would show. Each connection gets its authorizer and
     progress handler once, when it opens; the handler checks the deadline
     of whichever query runs, so a reopened connection times out like the
-    first. Opening a connection to a file that is not there raises
-    OSError. Not thread-safe; close() releases everything.
+    first. Opening a file that is missing, or whose schema SQLite cannot
+    read, raises OSError. Not thread-safe; close() releases everything.
     """
 
     def __init__(self) -> None:
@@ -175,8 +176,15 @@ class ConnectionSet:
         if conn is None:
             if not db_file.is_file():
                 raise OSError(f"database file not readable: {db_file}")
-            conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True, isolation_level=None)
-            conn.execute("BEGIN")
+            conn = None
+            try:
+                conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True, isolation_level=None)
+                conn.execute("BEGIN")
+                conn.execute("SELECT count(*) FROM sqlite_master")  # reads the schema
+            except sqlite3.Error as err:
+                if conn is not None:
+                    conn.close()
+                raise OSError(f"cannot read database file {db_file}: {err}") from err
             conn.set_authorizer(self._authorize)
             conn.set_progress_handler(self._progress, 1000)
             self._open[db_file] = conn
@@ -185,8 +193,11 @@ class ConnectionSet:
     def run(self, db_file: Path, sql: str, deadline: float) -> list[tuple]:
         """Execute one query; rows come back as tuples of canonical cell keys.
 
-        Raises _TooLarge, having fetched one row past it, when the result
-        holds more than MAX_RESULT_ROWS rows."""
+        A query that gives no result table raises _QueryFailed, of kind
+        ``timeout`` past ``deadline``, ``result_too_large`` past
+        MAX_RESULT_ROWS rows (it fetches one more), and ``pred_exec_error``
+        when SQLite rejects it, gives no result set, or its text has no
+        UTF-8 form (a lone surrogate, which sqlite3 cannot pass on)."""
         conn = self._connection(db_file)
         self._deadline = deadline
         self._timed_out = False
@@ -195,18 +206,17 @@ class ConnectionSet:
             try:
                 cursor = conn.execute(sql)
                 rows = cursor.fetchmany(MAX_RESULT_ROWS + 1)
-            except sqlite3.Error:
-                if self._timed_out:
-                    raise _Timeout()
-                raise
+            except (sqlite3.Error, UnicodeEncodeError) as err:
+                if not self._timed_out:
+                    raise _QueryFailed("pred_exec_error", str(err)) from err
             if self._timed_out:
-                raise _Timeout()
+                raise _QueryFailed("timeout", "interrupted at the deadline")
             if cursor.description is None:
                 # empty or non-query statement; sqlite accepts it silently
-                raise sqlite3.OperationalError("statement produced no result set")
+                raise _QueryFailed("pred_exec_error", "statement produced no result set")
             if len(rows) > MAX_RESULT_ROWS:
                 cursor.close()
-                raise _TooLarge()
+                raise _QueryFailed("result_too_large", f"more than {MAX_RESULT_ROWS} rows")
             if float in map(type, chain.from_iterable(rows)):
                 return [tuple(map(_cell_key, row)) for row in rows]
             return rows
@@ -226,17 +236,12 @@ class ConnectionSet:
         self.close()
 
 
-# What a query can fail with: an error from SQLite, or text that has no
-# UTF-8 form (a lone surrogate), which the sqlite3 module cannot pass on.
-_QUERY_ERRORS = (sqlite3.Error, UnicodeEncodeError)
-
-
 def _tables_equal(
     pred_rows: list[tuple], gold_rows: list[tuple], ordered: bool, deadline: float
 ) -> bool:
     """True when some column permutation makes the result tables identical,
-    as sequences when ordered, as multisets otherwise. Raises _Timeout when
-    ``deadline`` (a ``time.monotonic()`` value) passes during the search."""
+    as sequences when ordered, as multisets otherwise. Raises a ``timeout``
+    _QueryFailed once ``deadline`` (a ``time.monotonic()`` value) passes."""
     if pred_rows == gold_rows:
         return True  # the identity permutation aligns them
     if len(pred_rows) != len(gold_rows) or len(pred_rows[0]) != len(gold_rows[0]):
@@ -252,7 +257,7 @@ def _tables_equal(
     # equal contents lead to the same subtree, so each is tried once.
     def extend(chosen: list[int]) -> bool:
         if time.monotonic() > deadline:
-            raise _Timeout()
+            raise _QueryFailed("timeout", "column search passed the deadline")
         depth = len(chosen)
         if depth == len(gold_cols):
             return True
@@ -280,12 +285,12 @@ def ex_with_detail(
     ordered: bool,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
 ) -> tuple[bool, str | None]:
-    """(matched, failure kind). Gold failures, a gold result of more than
-    MAX_RESULT_ROWS rows among them, raise GoldExecutionError; an
-    unreadable database file is an infrastructure error (OSError). A
-    prediction with more rows than that scores ``result_too_large``. Text
-    that cannot be encoded as UTF-8 fails like a query SQLite rejects: a
-    prediction scores ``pred_exec_error``, a gold raises GoldExecutionError.
+    """(matched, failure kind). A prediction that gives no result table
+    scores the kind ConnectionSet.run names (``timeout``,
+    ``result_too_large`` or ``pred_exec_error``), one whose table differs
+    ``result_mismatch``. A gold query that gives no result table raises
+    GoldExecutionError naming that kind and why. A database file that is
+    missing, or that SQLite cannot open or read, raises OSError.
 
     Both queries run on ``connections``. ``ordered`` says whether the gold
     query fixes its row order, which then has to match as well. The
@@ -296,22 +301,14 @@ def ex_with_detail(
         db_file = Path(db_file)
     try:
         gold_rows = connections.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
-    except _Timeout as err:
-        raise GoldExecutionError(f"gold query timed out: {gold!r}") from err
-    except _TooLarge as err:
-        raise GoldExecutionError(f"gold result exceeds {MAX_RESULT_ROWS} rows") from err
-    except _QUERY_ERRORS as err:
-        raise GoldExecutionError(f"gold query failed: {err}") from err
+    except _QueryFailed as err:
+        raise GoldExecutionError(f"gold query failed ({err.kind}): {err}") from err
     deadline = time.monotonic() + timeout_ms / 1000.0
     try:
         pred_rows = connections.run(db_file, pred, deadline)
         matched = _tables_equal(pred_rows, gold_rows, ordered, deadline)
-    except _Timeout:
-        return False, "timeout"
-    except _TooLarge:
-        return False, "result_too_large"
-    except _QUERY_ERRORS:
-        return False, "pred_exec_error"
+    except _QueryFailed as err:
+        return False, err.kind
     return (True, None) if matched else (False, "result_mismatch")
 
 

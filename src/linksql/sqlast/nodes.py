@@ -54,9 +54,13 @@ class ColumnRef:
 class Literal:
     """A literal value with a canonical text form.
 
-    Numbers are normalized to their shortest decimal spelling, and one
-    beyond the float range to ``1e999`` or ``-1e999``, which parse back;
-    strings keep their original case with the quotes stripped.
+    An integer in SQLite's int64 range is spelled exactly, as
+    ``str(int(raw))``, however many digits it has, so integers past 2**53
+    that differ stay apart. Any other number, which SQLite reads as REAL,
+    gets its shortest decimal spelling: an integral one below 1e15 that of
+    the integer, so ``100``, ``100.0`` and ``0100`` are equal, and one
+    beyond the float range ``1e999`` or ``-1e999``, which parse back.
+    Strings keep their original case with the quotes stripped.
     """
 
     kind: str  # "num" | "str"
@@ -64,9 +68,17 @@ class Literal:
 
     @classmethod
     def number(cls, raw: str) -> "Literal":
-        # below 1e15, exactly as the float round trip below spells it
-        if len(raw) < 16 and raw.isdecimal():
-            return cls("num", str(int(raw)))
+        # The parser passes a negative integer as "-" and its digits. An int64
+        # has at most 19 digits past its leading zeros, and only those reach
+        # int(), which refuses text of more than 4300 digits.
+        digits = raw.removeprefix("-")
+        significant = digits.lstrip("0")
+        if digits.isdecimal() and len(significant) <= 19:
+            value = int(significant or "0")
+            if raw.startswith("-"):
+                value = -value
+            if -(2**63) <= value < 2**63:
+                return cls("num", str(value))
         value = float(raw)
         if value.is_integer() and abs(value) < 1e15:
             return cls("num", str(int(value)))

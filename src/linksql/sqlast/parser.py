@@ -70,6 +70,9 @@ class _SyntaxError(Exception):
 _CONDITION_ENDS = frozenset(
     {",", "inner", "join", "where", "group", "having", "order", "limit", ")", ";", "END", *SET_OPS}
 )
+# Tags that continue an operand or a predicate: a condition unit that
+# opens with "(" is a parenthesized operand when one follows its ")".
+_OPERAND_CONTINUES = frozenset({*COMPARE_OPS, "+", "-", "*", "/", "not", "like", "in", "between"})
 _JOIN_MODIFIERS = frozenset({"left", "right", "full", "outer", "cross", "natural"})
 
 # The FROM clauses a name may refer to, innermost first; each maps an alias
@@ -485,7 +488,12 @@ class _Parser:
         return _bool("and", parts)
 
     def parse_cond_unit(self):
-        if self.tags[self.i] == "(" and self.tags[self.i + 1] != "select":
+        tags = self.tags
+        if (
+            tags[self.i] == "("
+            and tags[self.i + 1] != "select"
+            and tags[self.closing(self.i) + 1] not in _OPERAND_CONTINUES
+        ):
             self.i += 1
             inner = self.parse_bool()
             self.expect(")")

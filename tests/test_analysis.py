@@ -564,6 +564,30 @@ def test_em_agrees_with_repr_sorted_form(pools, catalogs, seed):
             "SELECT Capacity + Venue_ID * 2 FROM Venue",
             False,
         ),
+        (
+            "venue_events",
+            "SELECT Name FROM Venue WHERE (Capacity + 1) > 3",
+            "SELECT Name FROM Venue WHERE Capacity + 1 > 3",
+            True,
+        ),
+        (
+            "venue_events",
+            "SELECT Name FROM Venue WHERE ((Capacity + 1)) * 2 > 3 AND (City = 'a')",
+            "SELECT Name FROM Venue WHERE (Capacity + 1) * 2 > 3 AND City = 'a'",
+            True,
+        ),
+        (
+            "venue_events",
+            "SELECT Name FROM Venue WHERE (Capacity) IN (1, 2) OR (City) NOT LIKE 'a%'",
+            "SELECT Name FROM Venue WHERE Capacity IN (1, 2) OR City NOT LIKE 'a%'",
+            True,
+        ),
+        (
+            "venue_events",
+            "SELECT 9007199254740993 FROM Venue",
+            "SELECT 9007199254740992 FROM Venue",
+            False,
+        ),
     ],
     ids=[
         "two-nested-ands",
@@ -577,6 +601,10 @@ def test_em_agrees_with_repr_sorted_form(pools, catalogs, seed):
         "parenthesized-first-operand",
         "parenthesized-last-operand",
         "parenthesized-lower-class",
+        "parenthesized-left-operand",
+        "twice-parenthesized-left-operand",
+        "parenthesized-column-operand",
+        "long-integers",
     ],
 )
 def test_bags_flatten_and_count_as_before(catalogs, db, a, b, same):

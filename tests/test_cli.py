@@ -192,6 +192,35 @@ def test_prepare_on_a_database_file_that_is_not_sqlite_exit_2(
     assert "file is not a database" in err
 
 
+def test_eval_on_a_database_file_that_is_not_sqlite_exit_2(
+    fixture_paths, corrupt_retail_root, tmp_path, capsys
+):
+    # used to list the retail example as invalid gold, score the other alone and exit 0
+    examples = tmp_path / "dev.json"
+    examples.write_text(
+        json.dumps(
+            [{"question": "q0", "query": "SELECT Name FROM Venue", "db_id": "venue_events"},
+             {"question": "q1", "query": "SELECT count(*) FROM Customer", "db_id": "retail"}]
+        ),
+        encoding="utf-8",
+    )
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text(
+        "".join(json.dumps(_trace(i, "full")) + "\n" for i in range(2)), encoding="utf-8"
+    )
+    out_dir = tmp_path / "scores"
+    rc = main(
+        ["eval", "--tables", str(fixture_paths["tables"]), "--examples", str(examples),
+         "--db-root", str(corrupt_retail_root), "--traces", str(traces),
+         "--out-dir", str(out_dir)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    retail = db_file_for(corrupt_retail_root, "retail")
+    assert f"cannot read database file {retail}: file is not a database" in err
+    assert not out_dir.exists()
+
+
 def test_infer_defaults_are_the_endpoint_config_defaults():
     args = build_parser().parse_args(
         ["infer", "--tables", "t", "--examples", "e", "--db-root", "d", "--mode", "dts",
@@ -461,6 +490,29 @@ def test_prepare_gen_writes_the_record_of_a_long_gold_sum(fixture_paths, tmp_pat
     (record,) = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
     assert record["completion"] == _LONG_SUM
     assert 'CREATE TABLE "Venue"' in record["prompt"] and '"Event"' not in record["prompt"]
+
+
+_PARENTHESIZED_LEFT = "SELECT Name FROM Venue WHERE (Capacity + 1) > 3"
+
+
+def test_eval_scores_a_gold_whose_left_operand_is_parenthesized(fixture_paths, tmp_path, capsys):
+    # such a gold was quarantined as outside the dialect, and eval exited 2
+    preds = ["SELECT Name FROM Venue WHERE Capacity + 1 > 3"]
+    rc, outcomes, report = _eval_venue(fixture_paths, tmp_path, [_PARENTHESIZED_LEFT], preds)
+    assert rc == 0, capsys.readouterr().err
+    assert outcomes == [(True, True, None)]
+    assert report["n"] == 1 and report["quarantined"] == []
+
+
+def test_prepare_gen_writes_the_record_of_a_parenthesized_left_operand(
+    fixture_paths, tmp_path, capsys
+):
+    examples = _venue_examples(tmp_path / "dev.json", 1, [_PARENTHESIZED_LEFT])
+    out = tmp_path / "gen.jsonl"
+    rc = main(["prepare", *data_args(fixture_paths, examples), "--stage", "gen", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    (record,) = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert record["completion"] == _PARENTHESIZED_LEFT
 
 
 def test_infer_oracle_link_traces_a_long_gold_sum(fixture_paths, tmp_path, capsys):

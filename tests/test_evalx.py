@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sqlite3
 import tempfile
 import time
@@ -467,6 +468,50 @@ def test_opening_a_connection_checks_the_file(scratch_db, conns, tmp_path):
     )
     with pytest.raises(OSError, match="not readable"):
         ex_with_detail(query, query, scratch_db, conns, ordered=False)
+
+
+def test_a_file_that_is_not_sqlite_fails_to_open(corrupt_retail_root, venue_db, conns):
+    # its gold used to score as invalid gold: opening the file read nothing
+    retail = db_file_for(corrupt_retail_root, "retail")
+    query = "SELECT count(*) FROM Customer"
+    message = f"^cannot read database file {re.escape(str(retail))}: file is not a database$"
+    with pytest.raises(OSError, match=message):
+        ex_with_detail(query, query, retail, conns, ordered=False)
+    with pytest.raises(OSError, match=message):
+        conns.run(retail, "SELECT 1", time.monotonic() + 5)
+    # the other files' connections still serve
+    query = "SELECT Name FROM Venue"
+    assert ex_with_detail(query, query, venue_db, conns, ordered=False) == (True, None)
+
+
+_ENDLESS = "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r) SELECT count(*) FROM r"
+
+
+@pytest.mark.parametrize(
+    "gold, timeout_ms, kind, reason",
+    [
+        ("SELECT broken FROM missing", 5000, "pred_exec_error", "no such table: missing"),
+        ("", 5000, "pred_exec_error", "statement produced no result set"),
+        (_ENDLESS, 200, "timeout", "interrupted at the deadline"),
+        (
+            "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r"
+            f" WHERE i <= {MAX_RESULT_ROWS}) SELECT i FROM r",
+            5000,
+            "result_too_large",
+            f"more than {MAX_RESULT_ROWS} rows",
+        ),
+    ],
+    ids=["sqlite-error", "no-result-set", "timeout", "too-large"],
+)
+def test_gold_execution_error_names_the_kind_and_why(
+    scratch_db, conns, gold, timeout_ms, kind, reason
+):
+    message = rf"^gold query failed \({kind}\): {re.escape(reason)}$"
+    with pytest.raises(GoldExecutionError, match=message):
+        ex_with_detail("SELECT 1", gold, scratch_db, conns, ordered=False, timeout_ms=timeout_ms)
+    # the same query as a prediction scores that kind
+    scored = ex_with_detail(gold, "SELECT 1", scratch_db, conns, ordered=False, timeout_ms=timeout_ms)
+    assert scored == (False, kind)
 
 
 def test_reopened_connection_keeps_the_deadline(fixture_paths, conns):

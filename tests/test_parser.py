@@ -554,6 +554,34 @@ def test_integer_spellings_equivalent(catalogs, n):
     assert exact_set_match(a, b)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=10**15, max_value=2**63 - 2), sign=st.sampled_from(("", "-")))
+def test_long_integers_compare_exactly(catalogs, n, sign):
+    # integers of 16 or more digits went through float, so past 2**53 two collided
+    cat = catalogs["venue_events"]
+    a = parse_sql(f"SELECT Name FROM Venue WHERE Capacity > {sign}{n}", cat)
+    b = parse_sql(f"SELECT Name FROM Venue WHERE Capacity > {sign}{n + 1}", cat)
+    assert not exact_set_match(a, b)
+
+
+@pytest.mark.parametrize(
+    "number, text",
+    [
+        ("9223372036854775807", "9223372036854775807"),
+        ("-9223372036854775808", "-9223372036854775808"),
+        ("000009007199254740993", "9007199254740993"),
+        pytest.param("-" + "0" * 5000 + "7", "-7", id="5000-leading-zeros"),
+        # beyond int64 SQLite reads an integer literal as REAL
+        ("9223372036854775808", "9.223372036854776e+18"),
+        ("-9223372036854775809", "-9.223372036854776e+18"),
+    ],
+)
+def test_integer_literal_spelled_as_sqlite_stores_it(catalogs, number, text):
+    cat = catalogs["venue_events"]
+    ast = parse_sql(f"SELECT Name FROM Venue WHERE Capacity > {number}", cat)
+    assert ast.where_tree.rhs == Literal("num", text)
+
+
 @pytest.mark.parametrize("number, text", [("1e999", "1e999"), ("-2e400", "-1e999")])
 def test_literal_beyond_float_range_is_spelled_1e999(catalogs, number, text):
     # not inf or -inf, which do not parse back as numbers
