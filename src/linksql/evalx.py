@@ -292,6 +292,14 @@ def ex_with_detail(
     GoldExecutionError naming that kind and why. A database file that is
     missing, or that SQLite cannot open or read, raises OSError.
 
+    ``gold`` must be a query that parse_sql accepted: it then only reads
+    and calls no function but the five aggregates, so it returns the same
+    table each time it runs on one snapshot. A prediction spelled as
+    ``gold``, byte for byte, therefore matches once the gold has returned
+    its table, without a second run. Do not pass gold that did not parse:
+    a prediction spelled as a gold that calls ``random()`` would match
+    without earning it.
+
     Both queries run on ``connections``. ``ordered`` says whether the gold
     query fixes its row order, which then has to match as well. The
     prediction's deadline covers both its execution and the search for a
@@ -303,6 +311,8 @@ def ex_with_detail(
         gold_rows = connections.run(db_file, gold, time.monotonic() + timeout_ms / 1000.0)
     except _QueryFailed as err:
         raise GoldExecutionError(f"gold query failed ({err.kind}): {err}") from err
+    if pred == gold:
+        return True, None  # the same statement on the same snapshot
     deadline = time.monotonic() + timeout_ms / 1000.0
     try:
         pred_rows = connections.run(db_file, pred, deadline)
@@ -376,13 +386,15 @@ def evaluate_pair(
     exact match and whether row order counts. A prediction spelled
     exactly as ``gold`` reuses that parse: it is an exact match without
     being parsed again, since parsing depends only on the text and the
-    catalog and the match is reflexive. It is still executed, so a query
-    that calls ``random()`` gets the verdict its two runs earn. Result
-    tables that are already equal match without a search over column
-    permutations; a search that does run counts against the prediction's
-    deadline. Queries run on ``connections``. The exact match and the
-    execution are the two halves that evaluate_split runs in its two
-    passes; ``match_ms`` and ``execution_ms`` time one half each."""
+    catalog and the match is reflexive. It also reuses the gold's run: it
+    is an execution match once the gold has returned its table, since
+    gold that parsed only reads and is deterministic (see ex_with_detail).
+    Result tables that are already equal match without a search over
+    column permutations; a search that does run counts against the
+    prediction's deadline. Queries run on ``connections``. The exact
+    match and the execution are the two halves that evaluate_split runs
+    in its two passes; ``match_ms`` and ``execution_ms`` time one half
+    each."""
     match = _match_half(pred, gold, gold_ast, catalog, ignore_values)
     ordered = gold_ast.has_toplevel_order()
     return _execution_half(example_id, match, pred, gold, db_file, connections, ordered, timeout_ms)
@@ -405,8 +417,9 @@ def evaluate_split(
     scores are computed only when ``predicted_links`` is given. Gold
     outside the dialect is quarantined, gold that fails to execute is
     invalid, and examples without a database file are skipped; none of
-    them count. Raises ValueError when ``timeout_ms`` is not positive and
-    when no example is left.
+    them count. Each quarantined or invalid gold logs one warning that
+    says why: the SqlError or the GoldExecutionError. Raises ValueError
+    when ``timeout_ms`` is not positive and when no example is left.
 
     Scoring takes two passes over the split, each in split order, with
     the verdicts each example would get from evaluate_pair. The first
@@ -415,7 +428,8 @@ def evaluate_split(
     match, the ordering flag and the link score, not the parse. The
     second executes gold and prediction on one read-only connection per
     database file, each reading one snapshot (see ConnectionSet), and
-    drops the link score of gold that fails to execute.
+    drops the link score of gold that fails to execute. Only gold that
+    parsed reaches it, so a prediction spelled as its gold runs once.
     """
     if timeout_ms <= 0:
         raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
@@ -425,7 +439,8 @@ def evaluate_split(
     for ex in split.examples:
         try:
             gold_ast = parse_sql(ex.gold_sql, ex.catalog)
-        except SqlError:
+        except SqlError as err:
+            log.warning("quarantined %s: %s", ex.example_id, err)
             quarantined.append(ex.example_id)
             continue
         if ex.db_file is None:
@@ -456,7 +471,8 @@ def evaluate_split(
                     ordered,
                     timeout_ms,
                 )
-            except GoldExecutionError:
+            except GoldExecutionError as err:
+                log.warning("invalid gold %s: %s", ex.example_id, err)
                 invalid_gold.append(ex.example_id)
                 continue
             verdicts.append(verdict)

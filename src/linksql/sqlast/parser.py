@@ -20,13 +20,14 @@ which may name any entry of the clause, then the select list, then the
 clauses after FROM. A syntax error wins over a name error: the first
 ResolutionError is held until the whole statement has parsed. The syntax
 error reported is the first in written order, found by parsing again in
-that order.
+that order when the error is first read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection
 from dataclasses import replace
+from functools import cached_property
 
 from ..catalog import DatabaseCatalog
 from .lexer import SqlError, SqlParseError, scan, token_start
@@ -63,6 +64,56 @@ class _SyntaxError(Exception):
         super().__init__(message)
         self.message = message
         self.at = at
+
+
+# What a failed parse met: a syntax error's (message, token index), or
+# None for a query nested too deeply for the recursive descent.
+_Failure = tuple[str, int] | None
+
+
+class _DeferredParseError(SqlParseError):
+    """The SqlParseError of a query that FROM-first parsing rejected. It
+    reports the first syntax error in written order, which takes a second
+    parse to find. That parse, and the error's character position, run
+    when its text or ``pos`` is first read, and are kept; a caller that
+    only asks whether the query parsed pays for one parse."""
+
+    def __init__(
+        self,
+        query: str,
+        tags: list[str],
+        values: list[str],
+        catalog: DatabaseCatalog,
+        failure: _Failure,
+    ):
+        self.args = ()
+        self._unread = (query, tags, values, catalog, failure)
+
+    @cached_property
+    def pos(self) -> int:
+        query, tags, values, catalog, failure = self._unread
+        try:
+            _Parser(tags, values, catalog, written_order=True).parse_statement()
+        except _SyntaxError as err:
+            failure = (err.message, err.at)
+        except RecursionError:
+            failure = None
+        del self._unread
+        # when written order meets no error, FROM first's is reported
+        if failure is None:
+            message, pos = "query nested too deeply", 0
+        else:
+            message, pos = failure[0], token_start(query, failure[1])
+        SqlParseError.__init__(self, message, pos)
+        return pos
+
+    def __str__(self) -> str:
+        self.pos
+        return super().__str__()
+
+    def __repr__(self) -> str:
+        self.pos
+        return super().__repr__()
 
 
 # Tags that end an ON condition: outside parentheses no condition holds
@@ -619,21 +670,21 @@ def parse_sql(query: str, catalog: DatabaseCatalog) -> QueryAst:
     in written order) on lexical or syntax errors, and otherwise
     ResolutionError when an identifier does not exist in the catalog or is
     ambiguous; both are SqlError. A query nested too deeply for the
-    recursive descent is a SqlParseError at position 0.
+    recursive descent is a SqlParseError at position 0. A lexical error
+    knows its message and position when raised. A syntax error parses
+    once, FROM first; its message and position, which may take a second
+    parse in written order, are worked out when the error is first read.
     """
     tags, values = scan(query)
     parser = _Parser(tags, values, catalog)
     try:
-        try:
-            ast = parser.parse_statement()
-        except (_SyntaxError, RecursionError):
-            # FROM first met this error; written order may meet another first
-            _Parser(tags, values, catalog, written_order=True).parse_statement()
-            raise
+        ast = parser.parse_statement()
     except _SyntaxError as err:
-        raise SqlParseError(err.message, token_start(query, err.at)) from None
+        failure: _Failure = (err.message, err.at)
     except RecursionError:
-        raise SqlParseError("query nested too deeply", 0) from None
-    if parser.held is not None:
-        raise parser.held
-    return ast
+        failure = None
+    else:
+        if parser.held is not None:
+            raise parser.held
+        return ast
+    raise _DeferredParseError(query, tags, values, catalog, failure)

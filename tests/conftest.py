@@ -6,6 +6,7 @@ import pytest
 from fixturedb import build_all
 from querygen import make_corpus, value_pools
 
+import linksql.sqlast.parser as sqlparser
 from linksql.catalog import attach_samples, load_catalogs
 from linksql.ingest import db_file_for, load_split
 from linksql.promptgen import serialize_link_target
@@ -37,6 +38,21 @@ def corrupt_retail_root(fixture_paths, tmp_path_factory):
     shutil.copytree(fixture_paths["db_root_a"], root)
     db_file_for(root, "retail").write_text("not an sqlite file\n", encoding="utf-8")
     return root
+
+
+@pytest.fixture
+def parsers(monkeypatch):
+    """The ``written_order`` flag of each parser that parse_sql builds, in
+    the order they are built."""
+    built = []
+
+    class Spy(sqlparser._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.written_order)
+
+    monkeypatch.setattr(sqlparser, "_Parser", Spy)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import logging
 import math
 import re
 import sqlite3
@@ -107,6 +108,14 @@ def test_unicode_digit_is_not_a_number(cat, venue_db, conns):
         False,
         "pred_exec_error",
     )
+
+
+@pytest.mark.parametrize("pred", ["", "SELECT Name FROM Venue WHERE ("])
+def test_em_detail_parses_a_broken_prediction_once(cat, parsers, pred):
+    gold = parse_sql("SELECT Name FROM Venue", cat)
+    parsers.clear()
+    assert em_with_detail(pred, gold, cat) == (False, "pred_parse_error")
+    assert parsers == [False]  # no written-order parse to locate the error
 
 
 def test_em_detail_component_mismatch(cat):
@@ -649,32 +658,68 @@ def test_prediction_spelled_as_gold_is_not_parsed_again(pair, monkeypatch):
         pair("e:0", gold + " ", gold)
 
 
-@pytest.mark.parametrize(
-    "gold, parsed",
-    [
-        ("SELECT Name FROM Venue", "SELECT Name FROM Venue"),
-        # random() is outside the dialect; the shortcut reads only the text,
-        # so the parse of the same query ordered by a column stands in
-        (
-            "SELECT Name FROM Venue ORDER BY random() LIMIT 1",
-            "SELECT Name FROM Venue ORDER BY Name LIMIT 1",
-        ),
-    ],
-)
-def test_prediction_spelled_as_gold_is_still_executed(
-    cat, venue_db, conns, monkeypatch, gold, parsed
-):
-    ran = []
+@pytest.fixture
+def ran(monkeypatch):
+    """The texts ConnectionSet.run executes, in order."""
+    texts = []
     run = ConnectionSet.run
 
     def spy(self, db_file, sql, deadline):
-        ran.append(sql)
+        texts.append(sql)
         return run(self, db_file, sql, deadline)
 
     monkeypatch.setattr(ConnectionSet, "run", spy)
-    v = evaluate_pair("e:0", gold, gold, parse_sql(parsed, cat), cat, venue_db, conns)
-    assert ran == [gold, gold]
-    assert v.exact_match
+    return texts
+
+
+def test_prediction_spelled_as_gold_runs_once(cat, venue_db, conns, ran):
+    gold = "SELECT Name FROM Venue"
+    v = evaluate_pair("e:0", gold, gold, parse_sql(gold, cat), cat, venue_db, conns)
+    assert ran == [gold]
+    assert v.exact_match and v.execution_match and v.failure_kind is None
+
+
+def test_ex_with_detail_of_gold_against_itself_runs_once(venue_db, conns, ran):
+    gold = "SELECT Name, City FROM Venue WHERE Capacity > 100"
+    assert ex_with_detail(gold, gold, venue_db, conns, ordered=False) == (True, None)
+    assert ran == [gold]
+
+
+def test_prediction_one_space_off_its_gold_still_runs(venue_db, conns, ran):
+    gold = "SELECT Name FROM Venue ORDER BY Name"
+    assert ex_with_detail(gold + " ", gold, venue_db, conns, ordered=True) == (True, None)
+    assert ran == [gold, gold + " "]
+
+
+def test_gold_spelled_as_a_failing_prediction_still_fails_as_gold(venue_db, conns, ran):
+    # the rule applies only once the gold has returned a table
+    gold = "SELECT Name FROM Nowhere"
+    with pytest.raises(GoldExecutionError, match="pred_exec_error"):
+        ex_with_detail(gold, gold, venue_db, conns, ordered=False)
+    assert ran == [gold]
+
+
+def test_gold_that_calls_random_never_reaches_the_one_run_rule(venue_split, ran):
+    # random() is outside the dialect, so eval quarantines such gold before
+    # any run, and a prediction spelled as it cannot match without its own run
+    gold = "SELECT Name FROM Venue ORDER BY random() LIMIT 1"
+    split = venue_split(gold, "SELECT Name FROM Venue")
+    report, verdicts = evaluate_split("full", split, {"t:0": gold, "t:1": "SELECT Name FROM Venue"})
+    assert report.quarantined == ("t:0",)
+    assert [v.example_id for v in verdicts] == ["t:1"]
+    assert ran == ["SELECT Name FROM Venue"]
+
+
+@pytest.mark.parametrize("root", ["db_root_a", "db_root_b"])
+def test_every_corpus_gold_returns_the_same_rows_twice(corpus, catalogs, fixture_paths, root):
+    # the one-run rule rests on this: parsed gold is deterministic on one snapshot
+    deadline = time.monotonic() + 120
+    with ConnectionSet() as connections:
+        for q in corpus:
+            parse_sql(q.sql, catalogs[q.db_id])  # the rule covers parsed gold only
+            db_file = db_file_for(fixture_paths[root], q.db_id)
+            first = connections.run(db_file, q.sql, deadline)
+            assert connections.run(db_file, q.sql, deadline) == first, q.sql
 
 
 def test_evaluate_pair_em_false_ex_true(pair):
@@ -978,6 +1023,31 @@ def test_gold_over_the_row_cap_is_invalid_gold(catalogs, fixture_paths):
     assert report.invalid_gold == ("t:0",)
     assert report.n == 1
     assert [_outcome(v) for v in verdicts] == [("t:1", True, True, None)]
+
+
+def _eval_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "linksql.evalx"]
+
+
+def test_gold_over_the_row_cap_is_logged_with_why(catalogs, fixture_paths, caplog):
+    rows = [("library", CROSS_JOIN), ("library", "SELECT Title FROM Book")]
+    split = _split(catalogs, fixture_paths["db_root_a"], rows)
+    with caplog.at_level(logging.WARNING, logger="linksql.evalx"):
+        evaluate_split("full", split, {"t:0": CROSS_JOIN, "t:1": "SELECT Title FROM Book"})
+    assert _eval_warnings(caplog) == [
+        f"invalid gold t:0: gold query failed (result_too_large): more than {MAX_RESULT_ROWS} rows"
+    ]
+
+
+def test_gold_outside_the_dialect_is_logged_with_why(venue_split, caplog):
+    split = venue_split("SELECT Name FROM Venue", "SELECT Nothing FROM Nowhere WHERE")
+    predictions = {"t:0": "SELECT Name FROM Venue", "t:1": "SELECT Name FROM Venue"}
+    with caplog.at_level(logging.WARNING, logger="linksql.evalx"):
+        report, _ = evaluate_split("full", split, predictions)
+    assert report.quarantined == ("t:1",)
+    assert _eval_warnings(caplog) == [
+        "quarantined t:1: unexpected token '' in expression (at position 33)"
+    ]
 
 
 def test_two_passes_keep_split_order_and_drop_invalid_gold_links(catalogs, fixture_paths):

@@ -444,6 +444,38 @@ def test_syntax_error_position(cat, sql, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "sql, message, pos",
+    [
+        ("", "expected SELECT, found ''", 0),
+        ("SELECT Name Venue", "expected FROM, found 'Venue'", 12),
+        # FROM first meets another error than written order does
+        ("SELECT Name, FROM", "unexpected token 'from' in expression", 13),
+        ("SELECT Name FROM Venue JOIN Event ON Venue.Venue_ID IN (SELECT FROM Event) JOIN",
+         "unexpected token 'from' in expression", 63),
+        ("SELECT * FROM " + "(SELECT * FROM " * 2000 + "Venue" + ")" * 2000,
+         "query nested too deeply", 0),
+    ],
+    ids=["empty", "no-from", "first-in-written-order", "nested-first-in-written-order", "deep"],
+)
+def test_syntax_error_is_located_once_when_read(cat, parsers, sql, message, pos):
+    with pytest.raises(SqlParseError) as info:
+        parse_sql(sql, cat)
+    assert parsers == [False]  # one parse, FROM first, until the error is read
+    err = info.value
+    for _ in range(2):
+        assert str(err) == f"{message} (at position {pos})"
+        assert err.pos == pos
+    assert parsers == [False, True]
+
+
+def test_lexical_error_is_located_when_raised(cat, parsers):
+    with pytest.raises(SqlParseError) as info:
+        parse_sql("SELECT ² FROM Venue", cat)
+    assert parsers == []
+    assert (str(info.value), info.value.pos) == ("unexpected character '²' (at position 7)", 7)
+
+
 # position: (head, opening, innermost, closing, tail)
 _NESTING = {
     "value": ("SELECT ", "(", "1", ")", " FROM Venue"),
